@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -251,10 +250,8 @@ PerfPoint run_e2_point(const netlist::Netlist& nl,
   // Observe per-stage timings only when the user opted into staging:
   // attaching a stage observer makes the engine compute interim statistics
   // at every stage boundary, which would distort an unstaged measurement.
-  unsigned env_stages = 0;
-  if (const char* env = std::getenv("SCA_STAGES"))
-    env_stages = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-  if (env_stages > 1)
+  options.stages = benchutil::env_stages();
+  if (options.stages > 1)
     options.on_stage = [&point](const eval::StageReport& report) {
       point.stage_seconds.push_back(report.stage_seconds);
     };
@@ -400,103 +397,100 @@ int run_perf_trajectory() {
     if (!p.oversubscribed && p.sims_per_sec > best_p->sims_per_sec)
       best_p = &p;
   const PerfPoint& best = *best_p;
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"perf\",\n";
-  json << "  \"workload\": \"e2_sbox_eq6\",\n";
-  json << "  \"sims\": " << sims << ",\n";
-  json << "  \"gates\": " << nl.size() << ",\n";
-  json << "  \"comb_gates\": " << comb_gates << ",\n";
+  using common::Json;
+  Json json = Json::object();
+  json.set("bench", "perf");
+  json.set("workload", "e2_sbox_eq6");
+  json.set("sims", sims);
+  json.set("gates", nl.size());
+  json.set("comb_gates", comb_gates);
   // The container's true scheduling capacity (affinity mask capped by
   // physical cores); speedup beyond it is oversubscription (historically
   // reported as "negative scaling" — hardware_concurrency counts logical
   // CPUs and ignores the container's affinity mask).
-  json << "  \"usable_cores\": " << cores << ",\n";
-  json << "  \"logical_cpus\": " << std::thread::hardware_concurrency()
-       << ",\n";
-  json << "  \"lanes\": " << points.front().lanes << ",\n";
-  json << "  \"deterministic\": " << (deterministic ? "true" : "false")
-       << ",\n";
-  json << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const PerfPoint& p = points[i];
-    json << "    {\"threads\": " << p.threads
-         << ", \"lanes\": " << p.lanes
-         << ", \"oversubscribed\": " << (p.oversubscribed ? "true" : "false")
-         << ", \"seconds\": " << p.seconds
-         << ", \"sims_per_sec\": " << p.sims_per_sec
-         << ", \"gate_evals_per_sec\": " << p.gate_evals_per_sec
-         << ", \"speedup\": " << p.speedup
-         << ", \"simulate_seconds\": " << p.simulate_seconds
-         << ", \"accumulate_seconds\": " << p.accumulate_seconds
-         << ", \"merge_seconds\": " << p.merge_seconds
-         << ", \"extract_seconds\": " << p.extract_seconds
-         << ", \"transpose_seconds\": " << p.transpose_seconds
-         << ", \"histogram_seconds\": " << p.histogram_seconds << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
+  json.set("usable_cores", cores);
+  json.set("logical_cpus", std::thread::hardware_concurrency());
+  json.set("lanes", points.front().lanes);
+  json.set("deterministic", deterministic);
+  Json runs = Json::array();
+  for (const PerfPoint& p : points) {
+    Json run = Json::object();
+    run.set("threads", p.threads);
+    run.set("lanes", p.lanes);
+    run.set("oversubscribed", p.oversubscribed);
+    run.set("seconds", p.seconds);
+    run.set("sims_per_sec", p.sims_per_sec);
+    run.set("gate_evals_per_sec", p.gate_evals_per_sec);
+    run.set("speedup", p.speedup);
+    run.set("simulate_seconds", p.simulate_seconds);
+    run.set("accumulate_seconds", p.accumulate_seconds);
+    run.set("merge_seconds", p.merge_seconds);
+    run.set("extract_seconds", p.extract_seconds);
+    run.set("transpose_seconds", p.transpose_seconds);
+    run.set("histogram_seconds", p.histogram_seconds);
+    runs.push_back(std::move(run));
   }
-  json << "  ],\n";
-  json << "  \"aliased_probe_sets\": " << points.front().aliased_probe_sets
-       << ",\n";
-  json << "  \"hosted_sets\": " << points.front().hosted_sets << ",\n";
-  json << "  \"probe_set_sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    json << "    {\"max_sets\": " << p.max_sets
-         << ", \"sets\": " << p.total_sets
-         << ", \"hosted_sets\": " << p.hosted_sets
-         << ", \"seconds\": " << p.seconds
-         << ", \"sims_per_sec\": " << p.sims_per_sec << "}"
-         << (i + 1 < sweep.size() ? "," : "") << "\n";
+  json.set("runs", std::move(runs));
+  json.set("aliased_probe_sets", points.front().aliased_probe_sets);
+  json.set("hosted_sets", points.front().hosted_sets);
+  Json probe_set_sweep = Json::array();
+  for (const SweepPoint& p : sweep) {
+    Json row = Json::object();
+    row.set("max_sets", p.max_sets);
+    row.set("sets", p.total_sets);
+    row.set("hosted_sets", p.hosted_sets);
+    row.set("seconds", p.seconds);
+    row.set("sims_per_sec", p.sims_per_sec);
+    probe_set_sweep.push_back(std::move(row));
   }
-  json << "  ],\n";
-  json << "  \"single_thread_sims_per_sec\": " << points.front().sims_per_sec
-       << ",\n";
-  json << "  \"threads\": " << best.threads << ",\n";
-  json << "  \"sims_per_sec\": " << best.sims_per_sec << ",\n";
-  json << "  \"gate_evals_per_sec\": " << best.gate_evals_per_sec << ",\n";
-  json << "  \"speedup\": " << best.speedup << "\n}\n";
+  json.set("probe_set_sweep", std::move(probe_set_sweep));
+  json.set("single_thread_sims_per_sec", points.front().sims_per_sec);
+  json.set("threads", best.threads);
+  json.set("sims_per_sec", best.sims_per_sec);
+  json.set("gate_evals_per_sec", best.gate_evals_per_sec);
+  json.set("speedup", best.speedup);
   {
     std::ofstream out("BENCH_perf.json");
-    out << json.str();
+    out << json.dump() << "\n";
   }
   std::printf("  wrote BENCH_perf.json (%u threads: %.0f sims/sec, %.2fx)\n",
               best.threads, best.sims_per_sec, best.speedup);
 
   // The cross-commit trajectory file gets a flat one-line record too.
-  benchutil::JsonLine line;
-  line.add("bench", "perf");
-  line.add("pass", deterministic);
-  line.add("seconds", points.front().seconds);
-  line.add("threads", best.threads);
-  line.add("usable_cores", static_cast<std::size_t>(cores));
-  line.add("lanes", static_cast<std::size_t>(points.front().lanes));
-  line.add("sims_per_sec", best.sims_per_sec);
-  line.add("single_thread_sims_per_sec", points.front().sims_per_sec);
-  line.add("gate_evals_per_sec", best.gate_evals_per_sec);
-  line.add("speedup", best.speedup);
-  line.add("simulate_seconds", points.front().simulate_seconds);
-  line.add("accumulate_seconds", points.front().accumulate_seconds);
-  line.add("merge_seconds", points.front().merge_seconds);
-  line.add("extract_seconds", points.front().extract_seconds);
-  line.add("transpose_seconds", points.front().transpose_seconds);
-  line.add("histogram_seconds", points.front().histogram_seconds);
-  line.add("aliased_probe_sets", points.front().aliased_probe_sets);
-  line.add("hosted_sets", points.front().hosted_sets);
+  Json line = Json::object();
+  line.set("bench", "perf");
+  line.set("pass", deterministic);
+  line.set("seconds", points.front().seconds);
+  line.set("threads", best.threads);
+  line.set("usable_cores", cores);
+  line.set("lanes", points.front().lanes);
+  line.set("sims_per_sec", best.sims_per_sec);
+  line.set("single_thread_sims_per_sec", points.front().sims_per_sec);
+  line.set("gate_evals_per_sec", best.gate_evals_per_sec);
+  line.set("speedup", best.speedup);
+  line.set("simulate_seconds", points.front().simulate_seconds);
+  line.set("accumulate_seconds", points.front().accumulate_seconds);
+  line.set("merge_seconds", points.front().merge_seconds);
+  line.set("extract_seconds", points.front().extract_seconds);
+  line.set("transpose_seconds", points.front().transpose_seconds);
+  line.set("histogram_seconds", points.front().histogram_seconds);
+  line.set("aliased_probe_sets", points.front().aliased_probe_sets);
+  line.set("hosted_sets", points.front().hosted_sets);
   // Stage-timing fields (SCA_STAGES > 1): how evenly the staged engine
   // spreads the budget, trackable across commits like the phase timings.
   const std::vector<double>& stage_secs = points.front().stage_seconds;
-  line.add("stages", stage_secs.empty() ? std::size_t{1} : stage_secs.size());
+  line.set("stages", stage_secs.empty() ? std::size_t{1} : stage_secs.size());
   if (!stage_secs.empty()) {
     double total = 0.0, worst = 0.0;
     for (double s : stage_secs) {
       total += s;
       worst = std::max(worst, s);
     }
-    line.add("stage_seconds_mean",
+    line.set("stage_seconds_mean",
              total / static_cast<double>(stage_secs.size()));
-    line.add("stage_seconds_max", worst);
+    line.set("stage_seconds_max", worst);
   }
-  line.append_to(benchutil::bench_json_path());
+  benchutil::append_json_line(line, benchutil::bench_json_path());
   return deterministic ? 0 : 1;
 }
 

@@ -26,17 +26,17 @@
 #include <unistd.h>
 
 #include "bench/bench_util.hpp"
+#include "src/common/json.hpp"
 #include "src/core/report.hpp"
 #include "src/core/search.hpp"
 #include "src/netlist/textio.hpp"
 #include "src/service/client.hpp"
 #include "src/service/daemon.hpp"
 #include "src/service/job.hpp"
-#include "src/service/json.hpp"
 #include "src/service/worker.hpp"
 
 using namespace sca;
-using service::Json;
+using common::Json;
 
 namespace {
 
@@ -75,9 +75,7 @@ int main(int argc, char** argv) {
 
   const std::string reference = [&] {
     eval::CampaignOptions options = e2.campaign_options(sbox_nl);
-    return Json::parse(
-               eval::verdict_json(eval::run_fixed_vs_random(sbox_nl, options)))
-        .dump();
+    return eval::verdict_json(eval::run_fixed_vs_random(sbox_nl, options));
   }();
 
   // Unsharded reference for the search window [0, 24), chunk 4.

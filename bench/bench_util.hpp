@@ -15,13 +15,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/json.hpp"
+#include "src/common/strings.hpp"
 #include "src/core/campaign.hpp"
 #include "src/core/report.hpp"
 #include "src/gadgets/bus.hpp"
@@ -47,65 +47,37 @@ inline const char* bench_json_path() {
   return (path && *path) ? path : nullptr;
 }
 
-/// One flat JSON object, appended as a single line to a trajectory file.
-/// Keys are emitted in insertion order; values are pre-rendered (callers
-/// pass only identifiers, numbers, and bools — nothing needing escapes).
-class JsonLine {
- public:
-  void add(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + value + "\"");
+/// Appends `line` dumped as one JSON line to `path` (nullptr: no-op).
+/// Best-effort: an unwritable path warns on stderr but never fails the bench.
+inline void append_json_line(const common::Json& line, const char* path) {
+  if (!path) return;
+  if (std::FILE* f = std::fopen(path, "a")) {
+    const std::string text = line.dump() + "\n";
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  } else {
+    std::fprintf(stderr, "warning: cannot append JSON line to %s\n", path);
   }
-  void add(const std::string& key, const char* value) {
-    add(key, std::string(value));
-  }
-  void add(const std::string& key, bool value) {
-    fields_.emplace_back(key, value ? "true" : "false");
-  }
-  void add(const std::string& key, double value) {
-    std::ostringstream os;
-    os << value;
-    fields_.emplace_back(key, os.str());
-  }
-  template <typename Int,
-            typename = std::enable_if_t<std::is_integral_v<Int>>>
-  void add(const std::string& key, Int value) {
-    fields_.emplace_back(key, std::to_string(value));
-  }
+}
 
-  /// Appends every field of `other` after this line's fields.
-  void extend(const JsonLine& other) {
-    fields_.insert(fields_.end(), other.fields_.begin(), other.fields_.end());
-  }
+/// Stage count requested by the SCA_STAGES environment variable (0 when
+/// unset): the benches' way to stage a campaign without flags.
+inline unsigned env_stages() {
+  const char* env = std::getenv("SCA_STAGES");
+  return env ? static_cast<unsigned>(std::strtoul(env, nullptr, 10)) : 0;
+}
 
-  std::string render() const {
-    std::string out = "{";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i) out += ", ";
-      out += "\"" + fields_[i].first + "\": " + fields_[i].second;
-    }
-    return out + "}";
-  }
-
-  /// Appends render() + newline to `path`. Best-effort: an unwritable path
-  /// warns on stderr but never fails the bench.
-  void append_to(const char* path) const {
-    if (!path) return;
-    if (std::FILE* f = std::fopen(path, "a")) {
-      const std::string line = render() + "\n";
-      std::fwrite(line.data(), 1, line.size(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "warning: cannot append bench JSON to %s\n", path);
-    }
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
+/// Stage sink of the benches: prints stage_line() and, when SCA_STAGE_JSON
+/// names a file, appends the stage's JSON object to it as one line.
+inline void print_stage(const eval::StageReport& report) {
+  std::printf("%s\n", eval::stage_line(report).c_str());
+  std::fflush(stdout);
+  append_json_line(eval::to_json(report), std::getenv("SCA_STAGE_JSON"));
+}
 
 /// Staged-evaluation knobs shared by the experiment benches. Defaults are
-/// inert (single stage, no checkpoint, no early stopping); SCA_STAGES still
-/// applies inside the engine when `stages` is left at 0.
+/// inert (single stage, no checkpoint, no early stopping); SCA_STAGES
+/// applies when `stages` is left at 0.
 struct Staging {
   unsigned stages = 0;             ///< 0 = SCA_STAGES env, else unstaged.
   std::string checkpoint;          ///< Snapshot path; "" = no checkpointing.
@@ -182,21 +154,19 @@ inline Staging parse_staging(int argc, char** argv) {
   return s;
 }
 
-/// Copies the staging knobs into campaign options and, whenever staging is
-/// actually active (either via flags or SCA_STAGES), wires the default
-/// stage sink so progress lines appear between stages.
+/// Copies the staging knobs into campaign options (SCA_STAGES when no
+/// --stages flag was given) and, whenever staging is actually active, wires
+/// print_stage so progress lines appear between stages.
 inline void apply_staging(const Staging& s, eval::CampaignOptions& options) {
-  options.stages = s.stages;
+  options.stages = s.stages ? s.stages : env_stages();
   options.checkpoint_path = s.checkpoint;
   options.resume = s.resume;
   options.stop_after_stage = s.stop_after_stage;
   options.early_stop_stages = s.early_stop_stages;
   options.early_stop_margin = s.early_stop_margin;
-  bool staged = s.stages > 1 || s.resume || !s.checkpoint.empty() ||
-                s.early_stop_stages > 0 || s.stop_after_stage > 0;
-  if (const char* env = std::getenv("SCA_STAGES"))
-    staged |= std::strtoul(env, nullptr, 10) > 1;
-  if (staged) options.on_stage = eval::default_stage_sink;
+  if (options.stages > 1 || s.resume || !s.checkpoint.empty() ||
+      s.early_stop_stages > 0 || s.stop_after_stage > 0)
+    options.on_stage = print_stage;
 }
 
 /// Builds a standalone Kronecker delta netlist over `share_count` shares.
@@ -206,7 +176,7 @@ inline netlist::Netlist kronecker_netlist(const gadgets::RandomnessPlan& plan,
   std::vector<gadgets::Bus> shares;
   for (std::size_t i = 0; i < share_count; ++i)
     shares.push_back(gadgets::make_input_bus(
-        nl, 8, netlist::InputRole::kShare, "b" + std::to_string(i) + "_", 0,
+        nl, 8, netlist::InputRole::kShare, common::numbered("b", i, "_"), 0,
         static_cast<std::uint32_t>(i)));
   gadgets::build_kronecker(nl, shares, plan);
   return nl;
@@ -272,9 +242,8 @@ class Scorecard {
   }
 
   /// Attaches an extra field to this bench's trajectory record.
-  template <typename V>
-  void note(const std::string& key, V value) {
-    extra_.add(key, value);
+  void note(const std::string& key, common::Json value) {
+    extra_.set(key, std::move(value));
   }
 
   double seconds() const {
@@ -287,12 +256,12 @@ class Scorecard {
   /// SCA_BENCH_JSON trajectory when a bench name was given.
   int exit_code() {
     if (!bench_.empty()) {
-      JsonLine line;
-      line.add("bench", bench_);
-      line.add("pass", ok_);
-      line.add("seconds", seconds());
-      line.extend(extra_);
-      line.append_to(bench_json_path());
+      common::Json line = common::Json::object();
+      line.set("bench", bench_);
+      line.set("pass", ok_);
+      line.set("seconds", seconds());
+      for (const auto& [key, value] : extra_.fields()) line.set(key, value);
+      append_json_line(line, bench_json_path());
     }
     return ok_ ? 0 : 1;
   }
@@ -302,7 +271,7 @@ class Scorecard {
  private:
   bool ok_ = true;
   std::string bench_;
-  JsonLine extra_;
+  common::Json extra_ = common::Json::object();
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -69,6 +69,7 @@
 #include <string>
 
 #include "src/common/check.hpp"
+#include "src/common/json.hpp"
 #include "src/core/campaign.hpp"
 #include "src/core/report.hpp"
 #include "src/lint/linter.hpp"
@@ -101,7 +102,7 @@ namespace {
                "  %s watch <socket> <job-id>\n"
                "  %s result <socket> <job-id> [--wait]\n"
                "  %s status|shutdown <socket>\n",
-               argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0, argv0, argv0);
   std::exit(2);
 }
 
@@ -116,7 +117,7 @@ std::string read_file(const char* path) {
   return text.str();
 }
 
-void print_frame(const service::Json& frame) {
+void print_frame(const common::Json& frame) {
   std::printf("%s\n", frame.dump().c_str());
   std::fflush(stdout);
 }
@@ -139,7 +140,7 @@ int client_main(int argc, char** argv) {
       bool wait = false;
       for (int i = 4; i < argc; ++i)
         if (std::string(argv[i]) == "--wait") wait = true;
-      const service::Json frame =
+      const common::Json frame =
           cmd == "watch" ? client.watch(job, print_frame)
                          : client.result(job, wait);
       print_frame(frame);
@@ -221,10 +222,10 @@ int client_main(int argc, char** argv) {
       if (!netlist_path) usage(argv[0]);
       spec.netlist = read_file(netlist_path);
     }
-    const service::Json ack = client.submit(spec);
+    const common::Json ack = client.submit(spec);
     print_frame(ack);
     if (!watch_after) return 0;
-    const service::Json frame =
+    const common::Json frame =
         client.watch(ack.at("job").as_string(), print_frame);
     print_frame(frame);
     return frame.get_string("status", "") == "error" ? 1 : 0;
@@ -348,10 +349,8 @@ int main(int argc, char** argv) {
     // Every JSON line already self-identifies its backend; --job adds the
     // caller's stream tag so lines from several evaluations writing to one
     // file stay attributable — each line still parses on its own.
-    const auto tagged = [&](const std::string& line) {
-      if (job_tag.empty()) return line;
-      service::Json j = service::Json::parse(line);
-      j.set("job", job_tag);
+    const auto tagged = [&](common::Json j) {
+      if (!job_tag.empty()) j.set("job", job_tag);
       return j.dump();
     };
     if (run_lint) {
@@ -380,25 +379,22 @@ int main(int argc, char** argv) {
     }
 
     // Show stage progress whenever the evaluation is actually staged or
-    // checkpointed (--stages / SCA_STAGES / --resume / --early-stop).
-    bool staged = options.stages > 1 || options.resume ||
-                  !options.checkpoint_path.empty() ||
-                  options.early_stop_stages > 0;
-    if (const char* env = std::getenv("SCA_STAGES"))
-      staged |= std::strtoul(env, nullptr, 10) > 1;
-    if (staged) {
-      if (job_tag.empty()) {
-        options.on_stage = eval::default_stage_sink;
-      } else {
-        options.on_stage = [&](const eval::StageReport& report) {
-          std::printf("%s\n", eval::stage_line(report).c_str());
-          std::fflush(stdout);
-          if (const char* path = std::getenv("SCA_STAGE_JSON")) {
-            std::ofstream os(path, std::ios::app);
-            if (os.good()) os << tagged(eval::to_json(report)) << "\n";
-          }
-        };
-      }
+    // checkpointed (--stages / SCA_STAGES / --resume / --early-stop), and
+    // append each stage's JSON line to SCA_STAGE_JSON when it names a file.
+    const char* env_stages = std::getenv("SCA_STAGES");
+    if (options.stages == 0 && env_stages)
+      options.stages =
+          static_cast<unsigned>(std::strtoul(env_stages, nullptr, 10));
+    if (options.stages > 1 || options.resume ||
+        !options.checkpoint_path.empty() || options.early_stop_stages > 0) {
+      options.on_stage = [&](const eval::StageReport& report) {
+        std::printf("%s\n", eval::stage_line(report).c_str());
+        std::fflush(stdout);
+        if (const char* path = std::getenv("SCA_STAGE_JSON")) {
+          std::ofstream os(path, std::ios::app);
+          if (os.good()) os << tagged(eval::to_json(report)) << "\n";
+        }
+      };
     }
 
     const eval::CampaignResult result = eval::run_fixed_vs_random(nl, options);

@@ -206,18 +206,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Stage-count resolution, mirroring resolve_threads: an explicit request
-// wins, else the SCA_STAGES environment variable, else 1 (the classic
-// single-pass campaign).
-unsigned resolve_stages(unsigned requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("SCA_STAGES")) {
-    const unsigned long v = std::strtoul(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return 1;
-}
-
 }  // namespace
 
 std::vector<const ProbeSetResult*> CampaignResult::top(std::size_t n) const {
@@ -910,7 +898,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   {
     std::vector<double> fractions = options.stage_schedule;
     if (fractions.empty()) {
-      const unsigned s = resolve_stages(options.stages);
+      const unsigned s = std::max(options.stages, 1u);
       for (unsigned i = 1; i <= s; ++i)
         fractions.push_back(static_cast<double>(i) / s);
     }

@@ -159,10 +159,10 @@ struct CampaignOptions {
 
   // --- staged evaluation --------------------------------------------------
 
-  /// Number of evaluation stages the run budget is split into (0 = the
-  /// SCA_STAGES environment variable, else 1 = the classic all-or-nothing
-  /// run). Stages partition the fixed chunk grid, so a staged campaign is
-  /// bit-identical to an unstaged one: stage s covers chunks
+  /// Number of evaluation stages the run budget is split into (0 or 1 =
+  /// the classic all-or-nothing run). Stages partition the fixed chunk
+  /// grid, so a staged campaign is bit-identical to an unstaged one: stage
+  /// s covers chunks
   /// [round(s/S * chunks), round((s+1)/S * chunks)) and the master
   /// accumulators after the last stage are the same integer counts / the
   /// same Welford FP operation sequence either way.

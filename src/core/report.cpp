@@ -1,39 +1,37 @@
 #include "src/core/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <vector>
 
 namespace sca::eval {
 
+using common::Json;
+
 namespace {
 
-// Minimal JSON string escaping — probe-set names only contain identifier
-// characters, dots, '&' and spaces, but a correct writer costs nothing.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+const char* statistic_name(Statistic s) {
+  return s == Statistic::kWelchTTest ? "ttest" : "gtest";
+}
+
+Json string_array(const std::vector<std::string>& items) {
+  Json out = Json::array();
+  for (const std::string& item : items) out.push_back(item);
   return out;
+}
+
+// The per-set fields shared by the result's "top" list and the verdict's
+// "sets" list.
+Json probe_set_json(const ProbeSetResult& r) {
+  Json set = Json::object();
+  set.set("name", r.name);
+  set.set("minus_log10_p", r.minus_log10_p);
+  set.set("bits", r.observation_bits);
+  set.set("compacted", r.compacted);
+  set.set("leaking", r.leaking);
+  set.set("aliases", r.aliases.size());
+  return set;
 }
 
 }  // namespace
@@ -89,95 +87,78 @@ std::string stage_line(const StageReport& report) {
   return os.str();
 }
 
-std::string to_json(const StageReport& report) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(6);
-  os << "{\"backend\":\"campaign\",\"type\":\"stage\""
-     << ",\"stage\":" << report.stage
-     << ",\"stages_total\":" << report.stages_total
-     << ",\"batch\":" << report.batch
-     << ",\"batches_total\":" << report.batches_total
-     << ",\"simulations_done\":" << report.simulations_done
-     << ",\"simulations_total\":" << report.simulations_total
-     << ",\"max_minus_log10_p\":" << report.max_minus_log10_p
-     << ",\"worst_set\":\"" << json_escape(report.worst_set) << "\""
-     << ",\"leaking_sets\":" << report.leaking_sets
-     << ",\"pass_so_far\":" << (report.pass_so_far ? "true" : "false")
-     << ",\"stage_seconds\":" << report.stage_seconds
-     << ",\"sims_per_second\":" << report.sims_per_second
-     << ",\"simulate_seconds\":" << report.simulate_seconds
-     << ",\"accumulate_seconds\":" << report.accumulate_seconds
-     << ",\"merge_seconds\":" << report.merge_seconds
-     << ",\"extract_seconds\":" << report.extract_seconds
-     << ",\"transpose_seconds\":" << report.transpose_seconds
-     << ",\"histogram_seconds\":" << report.histogram_seconds
-     << ",\"aliased_probe_sets\":" << report.aliased_probe_sets
-     << ",\"early_stopped\":" << (report.early_stopped ? "true" : "false")
-     << ",\"checkpoint\":\"" << json_escape(report.checkpoint_path) << "\"}";
-  return os.str();
+Json to_json(const StageReport& report) {
+  Json j = Json::object();
+  j.set("backend", "campaign");
+  j.set("type", "stage");
+  j.set("stage", report.stage);
+  j.set("stages_total", report.stages_total);
+  j.set("batch", report.batch);
+  j.set("batches_total", report.batches_total);
+  j.set("simulations_done", report.simulations_done);
+  j.set("simulations_total", report.simulations_total);
+  j.set("max_minus_log10_p", report.max_minus_log10_p);
+  j.set("worst_set", report.worst_set);
+  j.set("leaking_sets", report.leaking_sets);
+  j.set("pass_so_far", report.pass_so_far);
+  j.set("stage_seconds", report.stage_seconds);
+  j.set("sims_per_second", report.sims_per_second);
+  j.set("simulate_seconds", report.simulate_seconds);
+  j.set("accumulate_seconds", report.accumulate_seconds);
+  j.set("merge_seconds", report.merge_seconds);
+  j.set("extract_seconds", report.extract_seconds);
+  j.set("transpose_seconds", report.transpose_seconds);
+  j.set("histogram_seconds", report.histogram_seconds);
+  j.set("aliased_probe_sets", report.aliased_probe_sets);
+  j.set("early_stopped", report.early_stopped);
+  j.set("checkpoint", report.checkpoint_path);
+  return j;
 }
 
-std::string to_json(const CampaignResult& result, std::size_t top_n) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(6);
-  os << "{\"backend\":\"campaign\",\"type\":\"result\""
-     << ",\"pass\":" << (result.pass ? "true" : "false")
-     << ",\"statistic\":\""
-     << (result.statistic == Statistic::kWelchTTest ? "ttest" : "gtest")
-     << "\""
-     << ",\"max_minus_log10_p\":" << result.max_minus_log10_p
-     << ",\"leaking_sets\":" << result.leaking_sets
-     << ",\"total_sets\":" << result.total_sets
-     << ",\"unevaluated_sets\":" << result.unevaluated_sets
-     << ",\"simulations_per_group\":" << result.simulations_per_group
-     << ",\"simulations_done\":" << result.simulations_done
-     << ",\"stages_total\":" << result.stages_total
-     << ",\"stages_completed\":" << result.stages_completed
-     << ",\"early_stopped\":" << (result.early_stopped ? "true" : "false")
-     << ",\"interrupted\":" << (result.interrupted ? "true" : "false")
-     << ",\"resumed\":" << (result.resumed ? "true" : "false")
-     << ",\"threads\":" << result.threads_used
-     << ",\"table_batches\":" << result.table_batches
-     << ",\"simulate_seconds\":" << result.simulate_seconds
-     << ",\"accumulate_seconds\":" << result.accumulate_seconds
-     << ",\"merge_seconds\":" << result.merge_seconds
-     << ",\"extract_seconds\":" << result.extract_seconds
-     << ",\"transpose_seconds\":" << result.transpose_seconds
-     << ",\"histogram_seconds\":" << result.histogram_seconds
-     << ",\"aliased_probe_sets\":" << result.aliased_probe_sets
-     << ",\"hosted_sets\":" << result.hosted_sets
-     << ",\"set_shards\":" << result.set_shards << ",\"top\":[";
-  bool first = true;
+Json to_json(const CampaignResult& result, std::size_t top_n) {
+  Json j = Json::object();
+  j.set("backend", "campaign");
+  j.set("type", "result");
+  j.set("pass", result.pass);
+  j.set("statistic", statistic_name(result.statistic));
+  j.set("max_minus_log10_p", result.max_minus_log10_p);
+  j.set("leaking_sets", result.leaking_sets);
+  j.set("total_sets", result.total_sets);
+  j.set("unevaluated_sets", result.unevaluated_sets);
+  j.set("simulations_per_group", result.simulations_per_group);
+  j.set("simulations_done", result.simulations_done);
+  j.set("stages_total", result.stages_total);
+  j.set("stages_completed", result.stages_completed);
+  j.set("early_stopped", result.early_stopped);
+  j.set("interrupted", result.interrupted);
+  j.set("resumed", result.resumed);
+  j.set("threads", result.threads_used);
+  j.set("table_batches", result.table_batches);
+  j.set("simulate_seconds", result.simulate_seconds);
+  j.set("accumulate_seconds", result.accumulate_seconds);
+  j.set("merge_seconds", result.merge_seconds);
+  j.set("extract_seconds", result.extract_seconds);
+  j.set("transpose_seconds", result.transpose_seconds);
+  j.set("histogram_seconds", result.histogram_seconds);
+  j.set("aliased_probe_sets", result.aliased_probe_sets);
+  j.set("hosted_sets", result.hosted_sets);
+  j.set("set_shards", result.set_shards);
+  Json top = Json::array();
   for (const ProbeSetResult* r : result.top(top_n)) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << json_escape(r->name) << "\""
-       << ",\"minus_log10_p\":" << r->minus_log10_p
-       << ",\"bits\":" << r->observation_bits
-       << ",\"compacted\":" << (r->compacted ? "true" : "false")
-       << ",\"leaking\":" << (r->leaking ? "true" : "false")
-       << ",\"aliases\":" << r->aliases.size();
+    Json set = probe_set_json(*r);
     if (!r->aliases.empty()) {
-      // Names capped to keep the report bounded; the count above is exact.
-      os << ",\"alias_names\":[";
+      // Names capped to keep the report bounded; the count is exact.
       const std::size_t shown = std::min<std::size_t>(r->aliases.size(), 8);
-      for (std::size_t i = 0; i < shown; ++i)
-        os << (i ? "," : "") << "\"" << json_escape(r->aliases[i]) << "\"";
-      os << "]";
+      set.set("alias_names",
+              string_array({r->aliases.begin(), r->aliases.begin() + shown}));
     }
-    os << "}";
+    top.push_back(std::move(set));
   }
-  os << "]}";
-  return os.str();
+  j.set("top", std::move(top));
+  return j;
 }
 
 std::string verdict_json(const CampaignResult& result) {
-  // %.17g round-trips IEEE doubles exactly; std::fixed would not.
-  char num[64];
-  const auto put_double = [&](std::ostringstream& os, double v) {
-    std::snprintf(num, sizeof(num), "%.17g", v);
-    os << num;
-  };
   // Re-sort under a total order: campaign.cpp sorts by severity with an
   // unstable std::sort, so equal-severity neighbours may swap between runs.
   std::vector<const ProbeSetResult*> ordered;
@@ -189,104 +170,78 @@ std::string verdict_json(const CampaignResult& result) {
                 return a->minus_log10_p > b->minus_log10_p;
               return a->name < b->name;
             });
-  std::ostringstream os;
-  os << "{\"backend\":\"campaign\",\"type\":\"verdict\""
-     << ",\"pass\":" << (result.pass ? "true" : "false")
-     << ",\"statistic\":\""
-     << (result.statistic == Statistic::kWelchTTest ? "ttest" : "gtest")
-     << "\",\"model\":\""
-     << (result.model == ProbeModel::kGlitchTransition ? "transition"
-                                                       : "glitch")
-     << "\",\"order\":" << result.order << ",\"max_minus_log10_p\":";
-  put_double(os, result.max_minus_log10_p);
-  os << ",\"leaking_sets\":" << result.leaking_sets
-     << ",\"total_sets\":" << result.total_sets
-     << ",\"dropped_sets\":" << result.dropped_sets
-     << ",\"unevaluated_sets\":" << result.unevaluated_sets
-     << ",\"simulations_per_group\":" << result.simulations_per_group
-     << ",\"early_stopped\":" << (result.early_stopped ? "true" : "false")
-     << ",\"sets\":[";
-  for (std::size_t i = 0; i < ordered.size(); ++i) {
-    const ProbeSetResult* r = ordered[i];
-    if (i) os << ",";
-    os << "{\"name\":\"" << json_escape(r->name) << "\",\"minus_log10_p\":";
-    put_double(os, r->minus_log10_p);
-    os << ",\"bits\":" << r->observation_bits
-       << ",\"compacted\":" << (r->compacted ? "true" : "false")
-       << ",\"leaking\":" << (r->leaking ? "true" : "false")
-       << ",\"aliases\":" << r->aliases.size() << "}";
-  }
-  os << "]}";
-  return os.str();
+  Json j = Json::object();
+  j.set("backend", "campaign");
+  j.set("type", "verdict");
+  j.set("pass", result.pass);
+  j.set("statistic", statistic_name(result.statistic));
+  j.set("model", result.model == ProbeModel::kGlitchTransition ? "transition"
+                                                               : "glitch");
+  j.set("order", result.order);
+  j.set("max_minus_log10_p", result.max_minus_log10_p);
+  j.set("leaking_sets", result.leaking_sets);
+  j.set("total_sets", result.total_sets);
+  j.set("dropped_sets", result.dropped_sets);
+  j.set("unevaluated_sets", result.unevaluated_sets);
+  j.set("simulations_per_group", result.simulations_per_group);
+  j.set("early_stopped", result.early_stopped);
+  Json sets = Json::array();
+  for (const ProbeSetResult* r : ordered) sets.push_back(probe_set_json(*r));
+  j.set("sets", std::move(sets));
+  return j.dump();
 }
 
-std::string to_json(const lint::LintReport& report) {
-  std::ostringstream os;
-  os << "{\"backend\":\"lint\",\"model\":\"" << lint::to_string(report.model)
-     << "\",\"order\":" << report.order
-     << ",\"clean\":" << (report.clean() ? "true" : "false")
-     << ",\"probes_checked\":" << report.probes_checked
-     << ",\"probes_flagged\":" << report.probes_flagged
-     << ",\"otp_cuts\":" << report.cuts_applied;
-  if (report.order >= 2)
-    os << ",\"pairs_enumerated\":" << report.pairs_enumerated
-       << ",\"pairs_deduped\":" << report.pairs_deduped;
-  os << ",\"truncated\":" << (report.truncated ? "true" : "false")
-     << ",\"sliced\":" << (report.sliced ? "true" : "false")
-     << ",\"cut_registers\":" << report.cut_registers << ",\"findings\":[";
-  const auto string_array = [&](const std::vector<std::string>& items) {
-    os << "[";
-    for (std::size_t i = 0; i < items.size(); ++i)
-      os << (i ? "," : "") << "\"" << json_escape(items[i]) << "\"";
-    os << "]";
-  };
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const lint::LintFinding& f = report.findings[i];
-    if (i) os << ",";
-    os << "{\"rule\":\"" << lint::lint_rule_name(f.rule) << "\""
-       << ",\"probe\":\"" << json_escape(f.probe_name) << "\"";
-    if (f.probe2 != netlist::kNoSignal)
-      os << ",\"probe2\":\"" << json_escape(f.probe2_name) << "\"";
-    os << ",\"offending\":";
-    string_array(f.offending);
-    os << ",\"shared_fresh\":";
-    string_array(f.shared_fresh);
-    os << ",\"completed\":";
-    string_array(f.completed);
-    os << ",\"message\":\"" << json_escape(f.message) << "\"";
+Json to_json(const lint::LintReport& report) {
+  Json j = Json::object();
+  j.set("backend", "lint");
+  j.set("model", lint::to_string(report.model));
+  j.set("order", report.order);
+  j.set("clean", report.clean());
+  j.set("probes_checked", report.probes_checked);
+  j.set("probes_flagged", report.probes_flagged);
+  j.set("otp_cuts", report.cuts_applied);
+  if (report.order >= 2) {
+    j.set("pairs_enumerated", report.pairs_enumerated);
+    j.set("pairs_deduped", report.pairs_deduped);
+  }
+  j.set("truncated", report.truncated);
+  j.set("sliced", report.sliced);
+  j.set("cut_registers", report.cut_registers);
+  Json findings = Json::array();
+  for (const lint::LintFinding& f : report.findings) {
+    Json finding = Json::object();
+    finding.set("rule", lint::lint_rule_name(f.rule));
+    finding.set("probe", f.probe_name);
+    if (f.probe2 != netlist::kNoSignal) finding.set("probe2", f.probe2_name);
+    finding.set("offending", string_array(f.offending));
+    finding.set("shared_fresh", string_array(f.shared_fresh));
+    finding.set("completed", string_array(f.completed));
+    finding.set("message", f.message);
     if (f.certificate) {
       const lint::LintCertificate& c = *f.certificate;
-      os << ",\"certificate\":{\"available\":"
-         << (c.available ? "true" : "false");
+      Json cert = Json::object();
+      cert.set("available", c.available);
       if (!c.available) {
-        os << ",\"reason\":\"" << json_escape(c.unavailable_reason) << "\"}";
+        cert.set("reason", c.unavailable_reason);
       } else {
-        os << ",\"secret_bits\":";
-        string_array(c.secret_bits);
-        os << ",\"secret_a\":" << c.secret_a << ",\"secret_b\":" << c.secret_b
-           << ",\"tv_distance\":" << c.tv_distance
-           << ",\"observation\":" << c.observation
-           << ",\"count_a\":" << c.count_a << ",\"count_b\":" << c.count_b
-           << ",\"assignment\":{";
-        for (std::size_t j = 0; j < c.assignment.size(); ++j)
-          os << (j ? "," : "") << "\"" << json_escape(c.assignment[j].first)
-             << "\":" << (c.assignment[j].second ? 1 : 0);
-        os << "}}";
+        cert.set("secret_bits", string_array(c.secret_bits));
+        cert.set("secret_a", c.secret_a);
+        cert.set("secret_b", c.secret_b);
+        cert.set("tv_distance", c.tv_distance);
+        cert.set("observation", c.observation);
+        cert.set("count_a", c.count_a);
+        cert.set("count_b", c.count_b);
+        Json assignment = Json::object();
+        for (const auto& [name, value] : c.assignment)
+          assignment.set(name, value ? 1 : 0);
+        cert.set("assignment", std::move(assignment));
       }
+      finding.set("certificate", std::move(cert));
     }
-    os << "}";
+    findings.push_back(std::move(finding));
   }
-  os << "]}";
-  return os.str();
-}
-
-void default_stage_sink(const StageReport& report) {
-  std::printf("%s\n", stage_line(report).c_str());
-  std::fflush(stdout);
-  if (const char* path = std::getenv("SCA_STAGE_JSON")) {
-    std::ofstream os(path, std::ios::app);
-    if (os.good()) os << to_json(report) << "\n";
-  }
+  j.set("findings", std::move(findings));
+  return j;
 }
 
 }  // namespace sca::eval

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "src/common/json.hpp"
 #include "src/core/campaign.hpp"
 #include "src/lint/linter.hpp"
 
@@ -20,19 +21,19 @@ std::string verdict_line(const CampaignResult& result);
 /// "stage 3/10: 60000/200000 sims, max -log10(p) = 5.21 (sbox...), 1 leak".
 std::string stage_line(const StageReport& report);
 
-/// Single-line JSON object of a stage report, for machine-readable
-/// progress streams (one object per line). Tagged with
-/// "backend":"campaign" so interleaved multi-backend streams stay
-/// self-identifying line by line.
-std::string to_json(const StageReport& report);
+/// JSON object of a stage report, for machine-readable progress streams
+/// (one dumped object per line). Tagged with "backend":"campaign" so
+/// interleaved multi-backend streams stay self-identifying line by line;
+/// callers add their own tags (e.g. "job") before dumping.
+common::Json to_json(const StageReport& report);
 
-/// Single-line JSON object of a campaign result with its `top_n` worst
-/// probe sets inlined.
-std::string to_json(const CampaignResult& result, std::size_t top_n = 10);
+/// JSON object of a campaign result with its `top_n` worst probe sets
+/// inlined.
+common::Json to_json(const CampaignResult& result, std::size_t top_n = 10);
 
-/// Single-line JSON object of a lint report with every finding inlined
-/// (rule, probe, offending signals, shared fresh bits, completed sharings).
-std::string to_json(const lint::LintReport& report);
+/// JSON object of a lint report with every finding inlined (rule, probe,
+/// offending signals, shared fresh bits, completed sharings, certificate).
+common::Json to_json(const lint::LintReport& report);
 
 /// Canonical single-line JSON *verdict* of a campaign — the byte-comparable
 /// subset of a CampaignResult. Contains only fields the engine's
@@ -46,10 +47,5 @@ std::string to_json(const lint::LintReport& report);
 /// crash/resume handoffs — produce byte-identical verdict_json output;
 /// the service's crash-recovery tests assert exactly this.
 std::string verdict_json(const CampaignResult& result);
-
-/// Ready-made CampaignOptions::on_stage sink: prints stage_line() to
-/// stdout and, when the SCA_STAGE_JSON environment variable names a file,
-/// appends to_json() as one line to it.
-void default_stage_sink(const StageReport& report);
 
 }  // namespace sca::eval

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "src/common/check.hpp"
+#include "src/common/strings.hpp"
 #include "src/common/serialize.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/core/campaign.hpp"
@@ -216,7 +217,7 @@ Netlist kron2_netlist(const RandomnessPlan& plan) {
   std::vector<gadgets::Bus> shares;
   for (std::size_t i = 0; i < 3; ++i)
     shares.push_back(gadgets::make_input_bus(
-        nl, 8, netlist::InputRole::kShare, "b" + std::to_string(i) + "_", 0,
+        nl, 8, netlist::InputRole::kShare, common::numbered("b", i, "_"), 0,
         static_cast<std::uint32_t>(i)));
   gadgets::build_kronecker(nl, shares, plan);
   return nl;

@@ -1,6 +1,7 @@
 #include "src/gadgets/dom_sbox.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/strings.hpp"
 #include "src/gadgets/dom_gf.hpp"
 #include "src/gadgets/gf_circuits.hpp"
 
@@ -160,7 +161,7 @@ DomSbox build_dom_sbox_core(Netlist& nl, const std::vector<Bus>& in_shares,
         nl, concat(mult_out_lo.out[i], mult_out_hi.out[i]));
     if (options.include_affine)
       out = build_sbox_affine(nl, out, /*with_constant=*/i == 0);
-    name_bus(nl, out, "s" + std::to_string(i) + "_");
+    name_bus(nl, out, common::numbered("s", i, "_"));
     sbox.out_shares.push_back(std::move(out));
   }
 
@@ -174,17 +175,17 @@ DomSbox build_dom_sbox(Netlist& nl, const DomSboxOptions& options,
   std::vector<Bus> in_shares;
   for (std::size_t i = 0; i < options.share_count; ++i)
     in_shares.push_back(make_input_bus(nl, 8, InputRole::kShare,
-                                       "b" + std::to_string(i) + "_", secret,
+                                       common::numbered("b", i, "_"), secret,
                                        static_cast<std::uint32_t>(i)));
   std::vector<SignalId> masks;
   for (std::size_t k = 0; k < dom_sbox_mask_bits(options.share_count); ++k)
-    masks.push_back(nl.add_input(InputRole::kRandom, "m" + std::to_string(k)));
+    masks.push_back(nl.add_input(InputRole::kRandom, common::numbered("m", k)));
   nl.pop_scope();
 
   DomSbox sbox = build_dom_sbox_core(nl, in_shares, masks, options, scope);
   for (std::size_t i = 0; i < sbox.out_shares.size(); ++i)
     for (std::size_t b = 0; b < 8; ++b)
-      nl.add_output("s" + std::to_string(i) + "_" + std::to_string(b),
+      nl.add_output(common::numbered(common::numbered("s", i, "_"), b),
                     sbox.out_shares[i][b]);
   return sbox;
 }

@@ -1,6 +1,7 @@
 #include "src/gadgets/masked_aes.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/strings.hpp"
 #include "src/gadgets/masked_sbox.hpp"
 
 namespace sca::gadgets {
@@ -167,7 +168,8 @@ MaskedAes build_masked_aes128(Netlist& nl, const MaskedAesOptions& opts,
     const Bus rp = make_input_bus(nl, 8, InputRole::kRandom, "Rp");
     std::vector<SignalId> fresh;
     for (std::size_t k = 0; k < opts.kron_plan.fresh_count(); ++k)
-      fresh.push_back(nl.add_input(InputRole::kRandom, "f" + std::to_string(k)));
+      fresh.push_back(
+          nl.add_input(InputRole::kRandom, common::numbered("f", k)));
     nl.pop_scope();
     aes.nonzero_random_buses.push_back(r);
     return build_masked_sbox_core(nl, {s0, s1}, r, rp, fresh, sbox_opts, name);

@@ -1,6 +1,7 @@
 #include "src/gadgets/masked_sbox.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/strings.hpp"
 #include "src/gadgets/conversions.hpp"
 #include "src/gadgets/gf_circuits.hpp"
 
@@ -114,7 +115,7 @@ MaskedSbox build_masked_sbox(Netlist& nl, const MaskedSboxOptions& opts,
   if (opts.include_kronecker) {
     for (std::size_t k = 0; k < opts.kron_plan.fresh_count(); ++k)
       kron_fresh.push_back(
-          nl.add_input(InputRole::kRandom, "f" + std::to_string(k)));
+          nl.add_input(InputRole::kRandom, common::numbered("f", k)));
   }
   nl.pop_scope();
 

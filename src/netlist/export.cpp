@@ -4,6 +4,8 @@
 #include <sstream>
 
 #include "src/common/check.hpp"
+#include "src/common/strings.hpp"
+#include "src/common/json.hpp"
 
 namespace sca::netlist {
 
@@ -18,7 +20,7 @@ std::string ident(const Netlist& nl, SignalId id) {
       if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_')) c = '_';
     name += "_s" + std::to_string(id);
   } else {
-    name = "n" + std::to_string(id);
+    name = common::numbered("n", id);
   }
   return name;
 }
@@ -143,42 +145,43 @@ std::string to_verilog(const Netlist& nl, const std::string& module_name) {
 }
 
 std::string to_json(const Netlist& nl) {
-  std::ostringstream os;
-  os << "{\n  \"gates\": [\n";
+  using common::Json;
+  Json gates = Json::array();
   for (SignalId id = 0; id < nl.size(); ++id) {
     const Gate& g = nl.gate(id);
-    os << "    {\"id\": " << id << ", \"kind\": \"" << gate_kind_name(g.kind)
-       << "\", \"fanin\": [";
-    const std::size_t arity = gate_arity(g.kind);
-    for (std::size_t i = 0; i < arity; ++i) {
-      if (i) os << ", ";
-      os << g.fanin[i];
+    Json gate = Json::object();
+    gate.set("id", id);
+    gate.set("kind", gate_kind_name(g.kind));
+    Json fanin = Json::array();
+    for (std::size_t i = 0; i < gate_arity(g.kind); ++i)
+      fanin.push_back(g.fanin[i]);
+    gate.set("fanin", std::move(fanin));
+    if (auto n = nl.explicit_name(id)) gate.set("name", *n);
+    gates.push_back(std::move(gate));
+  }
+  Json inputs = Json::array();
+  for (const auto& in : nl.inputs()) {
+    Json input = Json::object();
+    input.set("signal", in.signal);
+    input.set("role", in.role == InputRole::kShare    ? "share"
+                      : in.role == InputRole::kRandom ? "random"
+                                                      : "control");
+    if (in.role == InputRole::kShare) {
+      input.set("secret", in.share.secret);
+      input.set("share", in.share.share);
+      input.set("bit", in.share.bit);
     }
-    os << "]";
-    if (auto n = nl.explicit_name(id)) os << ", \"name\": \"" << *n << "\"";
-    os << "}" << (id + 1 < nl.size() ? "," : "") << "\n";
+    inputs.push_back(std::move(input));
   }
-  os << "  ],\n  \"inputs\": [\n";
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    const auto& in = nl.inputs()[i];
-    os << "    {\"signal\": " << in.signal << ", \"role\": \""
-       << (in.role == InputRole::kShare
-               ? "share"
-               : in.role == InputRole::kRandom ? "random" : "control")
-       << "\"";
-    if (in.role == InputRole::kShare)
-      os << ", \"secret\": " << in.share.secret << ", \"share\": "
-         << in.share.share << ", \"bit\": " << in.share.bit;
-    os << "}" << (i + 1 < nl.inputs().size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"outputs\": [\n";
-  for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
-    const auto& out = nl.outputs()[i];
-    os << "    {\"name\": \"" << out.name << "\", \"signal\": " << out.signal
-       << "}" << (i + 1 < nl.outputs().size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  return os.str();
+  Json outputs = Json::array();
+  for (const auto& out : nl.outputs())
+    outputs.push_back(
+        Json::object().set("name", out.name).set("signal", out.signal));
+  Json doc = Json::object();
+  doc.set("gates", std::move(gates));
+  doc.set("inputs", std::move(inputs));
+  doc.set("outputs", std::move(outputs));
+  return doc.dump() + "\n";
 }
 
 }  // namespace sca::netlist

@@ -22,7 +22,7 @@ std::string to_dot(const Netlist& nl, const std::string& graph_name = "netlist",
 /// posedge-clocked always block for the registers.
 std::string to_verilog(const Netlist& nl, const std::string& module_name);
 
-/// JSON dump: gates, inputs with roles/labels, outputs, names.
+/// JSON dump (one line): gates, inputs with roles/labels, outputs, names.
 std::string to_json(const Netlist& nl);
 
 }  // namespace sca::netlist

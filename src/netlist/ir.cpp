@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.hpp"
+#include "src/common/strings.hpp"
 
 namespace sca::netlist {
 
@@ -124,7 +125,7 @@ void Netlist::set_state_group_name(std::uint32_t group, std::string name) {
 std::string Netlist::state_group_name(std::uint32_t group) const {
   if (auto it = state_group_names_.find(group); it != state_group_names_.end())
     return it->second;
-  return "g" + std::to_string(group);
+  return common::numbered("g", group);
 }
 
 void Netlist::set_secret_group_name(std::uint32_t secret, std::string name) {
@@ -135,7 +136,7 @@ std::string Netlist::secret_group_name(std::uint32_t secret) const {
   if (auto it = secret_group_names_.find(secret);
       it != secret_group_names_.end())
     return it->second;
-  return "s" + std::to_string(secret);
+  return common::numbered("s", secret);
 }
 
 namespace {

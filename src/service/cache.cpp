@@ -12,6 +12,7 @@
 namespace sca::service {
 
 namespace fs = std::filesystem;
+using common::Json;
 
 namespace {
 

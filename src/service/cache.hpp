@@ -17,7 +17,7 @@
 #include <optional>
 #include <string>
 
-#include "src/service/json.hpp"
+#include "src/common/json.hpp"
 
 namespace sca::service {
 
@@ -31,12 +31,12 @@ class VerdictCache {
 
   /// Returns the cached verdict for `key`, or nullopt on miss /
   /// corruption / engine-version mismatch.
-  std::optional<Json> lookup(const std::string& key) const;
+  std::optional<common::Json> lookup(const std::string& key) const;
 
   /// Stores `verdict` under `key` (atomic write). Failures to write are
   /// reported by return value, never thrown — a full disk degrades the
   /// service to cache-miss behavior instead of killing jobs.
-  bool store(const std::string& key, const Json& verdict) const;
+  bool store(const std::string& key, const common::Json& verdict) const;
 
   /// Number of entries currently on disk (directory scan; diagnostics).
   std::size_t size() const;

@@ -11,6 +11,7 @@
 
 namespace sca::service {
 
+using common::Json;
 using common::require;
 
 ServiceClient::ServiceClient(const std::string& socket_path, unsigned retries) {

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "src/service/job.hpp"
-#include "src/service/json.hpp"
+#include "src/common/json.hpp"
 
 namespace sca::service {
 
@@ -25,21 +25,22 @@ class ServiceClient {
   /// Submits a job; returns the daemon's `submitted` ack
   /// (job id, cache key, cached flag). Throws on protocol errors and on
   /// daemon `error` replies.
-  Json submit(const JobSpec& spec);
+  common::Json submit(const JobSpec& spec);
 
   /// Streams the job's stage frames into `sink` (may be null) until its
   /// result frame arrives; returns the result frame.
-  Json watch(const std::string& job, const std::function<void(const Json&)>& sink);
+  common::Json watch(const std::string& job,
+                     const std::function<void(const common::Json&)>& sink);
 
   /// Fetches the job's result. With `wait`, parks until the job finishes;
   /// otherwise a `pending` frame may come back.
-  Json result(const std::string& job, bool wait);
+  common::Json result(const std::string& job, bool wait);
 
   /// Daemon counters (workers restarted, tickets reissued, cache hits, ...).
-  Json status();
+  common::Json status();
 
   /// Asks the daemon to exit; returns its `bye` frame.
-  Json shutdown();
+  common::Json shutdown();
 
   /// Sends one raw protocol line (no trailing newline needed) and returns
   /// the next reply frame *unparsed* — the negative-path hook that lets
@@ -50,8 +51,8 @@ class ServiceClient {
   int fd() const { return fd_; }
 
  private:
-  Json roundtrip(const Json& request);
-  Json read_frame();
+  common::Json roundtrip(const common::Json& request);
+  common::Json read_frame();
 
   int fd_ = -1;
   std::string carry_;

@@ -17,15 +17,17 @@
 #include <unistd.h>
 
 #include "src/common/check.hpp"
+#include "src/common/json.hpp"
+#include "src/common/strings.hpp"
 #include "src/service/cache.hpp"
 #include "src/service/job.hpp"
-#include "src/service/json.hpp"
 #include "src/service/net.hpp"
 #include "src/service/worker.hpp"
 
 namespace sca::service {
 
 namespace fs = std::filesystem;
+using common::Json;
 using common::require;
 
 namespace {
@@ -131,7 +133,7 @@ class Daemon {
   void shutdown_workers() {
     for (auto& w : workers_) {
       if (w.fd >= 0) {
-        send_all(w.fd, "{\"type\":\"shutdown\"}\n");
+        send_all(w.fd, Json::object().set("type", "shutdown").dump() + "\n");
         ::close(w.fd);
         w.fd = -1;
       }
@@ -202,7 +204,7 @@ class Daemon {
     }
     require(active_jobs() < options_.max_queue, "daemon: job queue full");
     auto job = std::make_unique<JobRecord>();
-    job->id = "j" + std::to_string(next_job_++);
+    job->id = common::numbered("j", next_job_++);
     job->spec = std::move(spec);
     job->key = key;
     if (job->spec.kind != JobKind::kLint)

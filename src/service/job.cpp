@@ -7,6 +7,7 @@
 
 namespace sca::service {
 
+using common::Json;
 using common::require;
 
 const char* to_string(JobKind kind) {

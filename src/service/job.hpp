@@ -25,14 +25,16 @@
 #include <string>
 
 #include "src/core/campaign.hpp"
-#include "src/service/json.hpp"
+#include "src/common/json.hpp"
 
 namespace sca::service {
 
 /// Bumped whenever a change could alter any verdict bit (statistics
-/// pipeline, PRG addressing, probe enumeration, SNL semantics). Part of
-/// every cache key: entries written by other engine versions never hit.
-inline constexpr const char* kEngineVersion = "evald-1";
+/// pipeline, PRG addressing, probe enumeration, SNL semantics) or any
+/// verdict byte (evald-2: lint verdicts print tv_distance at %.17g instead
+/// of 6 digits). Part of every cache key: entries written by other engine
+/// versions never hit.
+inline constexpr const char* kEngineVersion = "evald-2";
 
 enum class JobKind { kCampaign, kLint, kSearch };
 
@@ -82,8 +84,8 @@ struct JobSpec {
 
   /// Wire encoding. from_json validates kinds and ranges and throws
   /// common::Error on malformed specs (the daemon's error reply).
-  Json to_json() const;
-  static JobSpec from_json(const Json& j);
+  common::Json to_json() const;
+  static JobSpec from_json(const common::Json& j);
 
   /// Canonical FNV-1a cache key over the verdict-relevant fields and the
   /// engine version, as 16 lowercase hex digits.

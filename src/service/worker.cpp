@@ -14,6 +14,8 @@
 
 namespace sca::service {
 
+using common::Json;
+
 namespace {
 
 void sleep_ms(unsigned ms) {
@@ -84,7 +86,7 @@ TicketOutcome run_campaign_ticket(const JobSpec& spec, const std::string& ckpt,
   // bit-identical to an uninterrupted run.
   options.stop_after_stage = 1;
   options.on_stage = [&](const eval::StageReport& report) {
-    Json frame = Json::parse(eval::to_json(report));
+    Json frame = eval::to_json(report);
     frame.set("job", job_id);
     frame.set("seq", seq);
     send_all(fd, frame.dump() + "\n");
@@ -106,7 +108,7 @@ TicketOutcome run_lint_ticket(const JobSpec& spec) {
   out.done = true;
   out.steps_done = 1;
   out.steps_total = 1;
-  out.verdict = Json::parse(eval::to_json(report));
+  out.verdict = eval::to_json(report);
   return out;
 }
 

@@ -23,14 +23,15 @@
 #include "src/core/campaign.hpp"
 #include "src/core/search.hpp"
 #include "src/service/job.hpp"
-#include "src/service/json.hpp"
+#include "src/common/json.hpp"
 
 namespace sca::service {
 
 /// Deterministic, timing-free verdict object for a finished search window
 /// (the search analogue of eval::verdict_json). Byte-identical across
 /// thread counts, interruptions, and worker handoffs.
-Json search_verdict_json(const eval::SecondOrderSearchResult& result);
+common::Json search_verdict_json(
+    const eval::SecondOrderSearchResult& result);
 
 /// Runs the worker protocol loop over `fd` (both directions) until the
 /// daemon closes the connection or sends a shutdown frame. Never throws;

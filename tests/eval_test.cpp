@@ -200,6 +200,14 @@ struct PlanVerdict {
   bool expect_pass;
 };
 
+// gtest would otherwise print the raw bytes of a PlanVerdict, plan pointer
+// included, into the test's listed name, which would then differ on every run.
+void PrintTo(const PlanVerdict& v, std::ostream* os) {
+  *os << '{' << v.plan << ", "
+      << (v.model == ProbeModel::kGlitch ? "glitch" : "trans") << ", "
+      << (v.expect_pass ? "PASS" : "FAIL") << '}';
+}
+
 class CampaignPaperClaims : public ::testing::TestWithParam<PlanVerdict> {
  protected:
   static RandomnessPlan plan_by_name(const std::string& name) {

@@ -364,7 +364,7 @@ TEST(Lint2, JsonReportCarriesPairFields) {
   const Netlist nl = shared_pad_pair();
   const LintReport report = lint2(nl, LintModel::kGlitch);
   ASSERT_FALSE(report.clean());
-  const std::string json = eval::to_json(report);
+  const std::string json = eval::to_json(report).dump();
   EXPECT_NE(json.find("\"order\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"pairs_enumerated\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"pairs_deduped\":"), std::string::npos) << json;

@@ -145,7 +145,7 @@ TEST(LintAes, Eq6FlagsFreshReuseInsideEveryInstanceG7WithCertificates) {
   }
 
   // Certificate serialization: the JSON report inlines the witness.
-  const std::string json = eval::to_json(report);
+  const std::string json = eval::to_json(report).dump();
   EXPECT_NE(json.find("\"sliced\":true"), std::string::npos);
   EXPECT_NE(json.find("\"cut_registers\":520"), std::string::npos);
   EXPECT_NE(json.find("\"certificate\":{\"available\":true"),

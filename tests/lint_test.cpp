@@ -399,7 +399,7 @@ TEST(LintConstrained, UnannotatedMaskGetsNoMultiplicativeCredit) {
 TEST(Lint, JsonRenderingIsWellFormedAndCarriesFindings) {
   const LintReport report =
       lint_kron1(RandomnessPlan::kron1_demeyer_eq6(), LintModel::kGlitch);
-  const std::string json = eval::to_json(report);
+  const std::string json = eval::to_json(report).dump();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"backend\":\"lint\""), std::string::npos);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.hpp"
+#include "src/common/json.hpp"
 #include "src/netlist/celllib.hpp"
 #include "src/netlist/cone.hpp"
 #include "src/netlist/export.hpp"
@@ -245,10 +246,15 @@ TEST(Export, JsonListsInputsWithRoles) {
   Netlist nl;
   nl.add_input(InputRole::kShare, "x", ShareLabel{0, 1, 3});
   nl.add_input(InputRole::kRandom, "r");
-  const std::string j = to_json(nl);
-  EXPECT_NE(j.find("\"share\""), std::string::npos);
-  EXPECT_NE(j.find("\"random\""), std::string::npos);
-  EXPECT_NE(j.find("\"bit\": 3"), std::string::npos);
+  const common::Json j = common::Json::parse(to_json(nl));
+  const auto& inputs = j.at("inputs").items();
+  ASSERT_EQ(inputs.size(), 2u);
+  EXPECT_EQ(inputs[0].at("role").as_string(), "share");
+  EXPECT_EQ(inputs[0].at("secret").as_int(), 0);
+  EXPECT_EQ(inputs[0].at("share").as_int(), 1);
+  EXPECT_EQ(inputs[0].at("bit").as_int(), 3);
+  EXPECT_EQ(inputs[1].at("role").as_string(), "random");
+  EXPECT_FALSE(inputs[1].has("bit"));
 }
 
 // --- SNL text round trip ----------------------------------------------------------

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <ctime>
@@ -29,6 +30,7 @@
 #include <unistd.h>
 
 #include "src/common/check.hpp"
+#include "src/common/json.hpp"
 #include "src/core/campaign.hpp"
 #include "src/core/report.hpp"
 #include "src/core/search.hpp"
@@ -36,19 +38,20 @@
 #include "src/gadgets/kronecker.hpp"
 #include "src/gadgets/masked_sbox.hpp"
 #include "src/lint/linter.hpp"
+#include "src/netlist/export.hpp"
 #include "src/netlist/ir.hpp"
 #include "src/netlist/textio.hpp"
 #include "src/service/cache.hpp"
 #include "src/service/client.hpp"
 #include "src/service/daemon.hpp"
 #include "src/service/job.hpp"
-#include "src/service/json.hpp"
 #include "src/service/worker.hpp"
 
 namespace sca::service {
 namespace {
 
 namespace fs = std::filesystem;
+using common::Json;
 using gadgets::RandomnessPlan;
 
 // --- fixtures ---------------------------------------------------------------
@@ -166,6 +169,7 @@ TEST(Json, RoundTripsValuesAndPreservesKeyOrder) {
   obj.set("nothing", nullptr);
   obj.set("big", std::uint64_t{1} << 62);
   obj.set("pi", 3.141592653589793);
+  obj.set("negzero", -0.0);  // a G-test set with p = 1
   Json arr = Json::array();
   arr.push_back(1);
   arr.push_back("two");
@@ -361,13 +365,13 @@ TEST(JsonLines, EveryEmittedLineParsesIndependentlyWithBackendTag) {
   options.stages = 3;
   std::vector<std::string> lines;
   options.on_stage = [&](const eval::StageReport& r) {
-    lines.push_back(eval::to_json(r));
+    lines.push_back(eval::to_json(r).dump());
   };
   const eval::CampaignResult result = eval::run_fixed_vs_random(nl, options);
-  lines.push_back(eval::to_json(result));
+  lines.push_back(eval::to_json(result).dump());
   lines.push_back(eval::verdict_json(result));
   const lint::LintReport lint_report = lint::run_lint(nl, {});
-  lines.push_back(eval::to_json(lint_report));
+  lines.push_back(eval::to_json(lint_report).dump());
 
   ASSERT_GE(lines.size(), 5u);
   for (const std::string& line : lines) {
@@ -407,6 +411,308 @@ TEST(JsonLines, VerdictJsonIsInvariantUnderExecutionKnobs) {
   scalar.accumulation = eval::Accumulation::kScalar;
   EXPECT_EQ(eval::verdict_json(eval::run_fixed_vs_random(nl, scalar)),
             reference);
+}
+
+// Verdict bytes pinned by the verdict cache and the crash-recovery
+// contract, captured before the report writer moved onto common::Json: the
+// Eq. (6) Kronecker under the G-test (the setup above) and under the Welch
+// t-test (scoped to the leaking G7 gadget to keep the literal short).
+const char* const kEq6GTestVerdict =
+    R"({"backend":"campaign","type":"verdict","pass":false,"statistic":"gtest",)"
+    R"("model":"glitch","order":1,"max_minus_log10_p":13.775904772207886,)"
+    R"("leaking_sets":5,"total_sets":105,"dropped_sets":0,"unevaluated_sets":0,)"
+    R"("simulations_per_group":4096,"early_stopped":false,)"
+    R"("sets":[{"name":"kron.G7.crossprod10",)"
+    R"("minus_log10_p":13.775904772207886,"bits":4,"compacted":false,)"
+    R"("leaking":true,"aliases":0},{"name":"kron.G7.inner0",)"
+    R"("minus_log10_p":12.241353590645536,"bits":4,"compacted":false,)"
+    R"("leaking":true,"aliases":0},{"name":"kron.G7.inner1",)"
+    R"("minus_log10_p":10.778926369314487,"bits":4,"compacted":false,)"
+    R"("leaking":true,"aliases":0},{"name":"kron.G7.cross10",)"
+    R"("minus_log10_p":9.8084860162752125,"bits":5,"compacted":false,)"
+    R"("leaking":true,"aliases":0},{"name":"kron.G7.crossprod01",)"
+    R"("minus_log10_p":8.8519490626504442,"bits":4,"compacted":false,)"
+    R"("leaking":true,"aliases":0},{"name":"kron.G7.cross01",)"
+    R"("minus_log10_p":5.9813335378443675,"bits":5,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.cross10_reg",)"
+    R"("minus_log10_p":2.3301273558888989,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.out0",)"
+    R"("minus_log10_p":2.1327901329279269,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.inner1",)"
+    R"("minus_log10_p":1.6000053413881445,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b0_3",)"
+    R"("minus_log10_p":1.5666161357983608,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":1},{"name":"kron.G5.inner0_reg",)"
+    R"("minus_log10_p":1.5583318214080939,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.inner1_reg",)"
+    R"("minus_log10_p":1.4898243883628197,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b1_3",)"
+    R"("minus_log10_p":1.4698706642042936,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.z1",)"
+    R"("minus_log10_p":1.4206313665219199,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b0_6",)"
+    R"("minus_log10_p":1.3303068791595145,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":1},{"name":"kron.G2.crossprod01",)"
+    R"("minus_log10_p":1.1971138952665732,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.out0",)"
+    R"("minus_log10_p":1.1417004781140636,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.inner1",)"
+    R"("minus_log10_p":1.0343252249456241,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.inner0",)"
+    R"("minus_log10_p":1.0011041116055499,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.cross10",)"
+    R"("minus_log10_p":0.973740763855096,"bits":3,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.cross01",)"
+    R"("minus_log10_p":0.94241728078922393,"bits":3,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.cross10",)"
+    R"("minus_log10_p":0.93800882817015174,"bits":5,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.crossprod10",)"
+    R"("minus_log10_p":0.92151690336046876,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.cross01",)"
+    R"("minus_log10_p":0.9034935411754792,"bits":3,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.inner0",)"
+    R"("minus_log10_p":0.87445813606704015,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.cross01",)"
+    R"("minus_log10_p":0.85915496964044702,"bits":5,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.r5",)"
+    R"("minus_log10_p":0.80319241889959125,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b1_0",)"
+    R"("minus_log10_p":0.750345548184435,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.out1",)"
+    R"("minus_log10_p":0.74350974571770112,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b0_1",)"
+    R"("minus_log10_p":0.7331798336944001,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":1},{"name":"b1_6",)"
+    R"("minus_log10_p":0.73300269321752876,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.inner0_reg",)"
+    R"("minus_log10_p":0.69322623265463412,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.cross10",)"
+    R"("minus_log10_p":0.66993026677848144,"bits":3,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b0_7",)"
+    R"("minus_log10_p":0.64924747025758256,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":1},{"name":"kron.G4.crossprod01",)"
+    R"("minus_log10_p":0.62069988992454928,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.cross01_reg",)"
+    R"("minus_log10_p":0.61694686313558689,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.crossprod10",)"
+    R"("minus_log10_p":0.60998778916153806,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.cross01",)"
+    R"("minus_log10_p":0.56526364597425605,"bits":3,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.crossprod10",)"
+    R"("minus_log10_p":0.51426563220765009,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.crossprod10",)"
+    R"("minus_log10_p":0.51204957860795264,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.inner0",)"
+    R"("minus_log10_p":0.50177974876639053,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.out0",)"
+    R"("minus_log10_p":0.47101458934421075,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b1_5",)"
+    R"("minus_log10_p":0.4659529524141352,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.cross10",)"
+    R"("minus_log10_p":0.43276738068105286,"bits":3,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.cross10_reg",)"
+    R"("minus_log10_p":0.42392492980609947,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.inner1",)"
+    R"("minus_log10_p":0.35873003623755467,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.inner1",)"
+    R"("minus_log10_p":0.3380801379782104,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"XOR#19",)"
+    R"("minus_log10_p":0.322187445117392,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.inner1",)"
+    R"("minus_log10_p":0.31519522461220051,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.inner0",)"
+    R"("minus_log10_p":0.30391556515247437,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.inner1_reg",)"
+    R"("minus_log10_p":0.29500441188218329,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b0_2",)"
+    R"("minus_log10_p":0.29466585605851048,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":1},{"name":"b1_2",)"
+    R"("minus_log10_p":0.2946294696094956,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.inner1_reg",)"
+    R"("minus_log10_p":0.29371439146813361,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.z0",)"
+    R"("minus_log10_p":0.28190529073879955,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.cross10_reg",)"
+    R"("minus_log10_p":0.27073381348109971,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.cross10_reg",)"
+    R"("minus_log10_p":0.25901005121195125,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.crossprod01",)"
+    R"("minus_log10_p":0.25681559195269421,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.out0",)"
+    R"("minus_log10_p":0.24530898457383732,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.crossprod01",)"
+    R"("minus_log10_p":0.24094185248205344,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.inner0_reg",)"
+    R"("minus_log10_p":0.2401568312296769,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b1_1",)"
+    R"("minus_log10_p":0.23607185622150345,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.r4",)"
+    R"("minus_log10_p":0.23605728470125784,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.crossprod10",)"
+    R"("minus_log10_p":0.23344600510512656,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.inner0",)"
+    R"("minus_log10_p":0.2214574062694365,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.cross01",)"
+    R"("minus_log10_p":0.21822164221925036,"bits":3,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.crossprod10",)"
+    R"("minus_log10_p":0.21609320700780171,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.cross10",)"
+    R"("minus_log10_p":0.21130932714113124,"bits":3,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.out1",)"
+    R"("minus_log10_p":0.20830151295655175,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.inner1_reg",)"
+    R"("minus_log10_p":0.17925871594043102,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.cross01_reg",)"
+    R"("minus_log10_p":0.17095441999617908,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.cross10_reg",)"
+    R"("minus_log10_p":0.17094750003549264,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.out1",)"
+    R"("minus_log10_p":0.16969428157972319,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.inner0_reg",)"
+    R"("minus_log10_p":0.16452081735419605,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G4.inner0_reg",)"
+    R"("minus_log10_p":0.15476828212482274,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.inner0_reg",)"
+    R"("minus_log10_p":0.14085879322484224,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.r7",)"
+    R"("minus_log10_p":0.14053062095054619,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.r6",)"
+    R"("minus_log10_p":0.14044321196765677,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b0_4",)"
+    R"("minus_log10_p":0.13057941896691866,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":1},{"name":"kron.G3.crossprod01",)"
+    R"("minus_log10_p":0.12451460548730833,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.inner0_reg",)"
+    R"("minus_log10_p":0.12009204577934379,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.cross01",)"
+    R"("minus_log10_p":0.11493859057953044,"bits":5,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G5.cross01_reg",)"
+    R"("minus_log10_p":0.092607727941533477,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.cross01_reg",)"
+    R"("minus_log10_p":0.092606159859188186,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.inner0",)"
+    R"("minus_log10_p":0.087663418909006044,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.inner1_reg",)"
+    R"("minus_log10_p":0.086686644119661677,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.out1",)"
+    R"("minus_log10_p":0.072817788926429816,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.out0",)"
+    R"("minus_log10_p":0.067556490878931369,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G2.inner1_reg",)"
+    R"("minus_log10_p":0.066414068060254849,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.inner1_reg",)"
+    R"("minus_log10_p":0.066390929825886014,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.cross01_reg",)"
+    R"("minus_log10_p":0.065658547238528389,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.crossprod01",)"
+    R"("minus_log10_p":0.051459146879585201,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.cross10",)"
+    R"("minus_log10_p":0.048026193673457347,"bits":5,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.cross10_reg",)"
+    R"("minus_log10_p":0.039995647367283227,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.cross01_reg",)"
+    R"("minus_log10_p":0.039990007791808307,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.out0",)"
+    R"("minus_log10_p":0.039862938205683936,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G1.out1",)"
+    R"("minus_log10_p":0.038435335055807429,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.cross01_reg",)"
+    R"("minus_log10_p":0.023583930129592819,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.cross10_reg",)"
+    R"("minus_log10_p":0.02358140908221347,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b0_0",)"
+    R"("minus_log10_p":0.023581091845791474,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":1},{"name":"b1_4",)"
+    R"("minus_log10_p":0.02358094188330314,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"b0_5",)"
+    R"("minus_log10_p":0.015583997756571223,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":1},{"name":"b1_7",)"
+    R"("minus_log10_p":0.0077255696260067419,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G6.inner1",)"
+    R"("minus_log10_p":0.0033399823619810428,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G3.out1",)"
+    R"("minus_log10_p":0.00092057971388054402,"bits":2,"compacted":false,)"
+    R"("leaking":false,"aliases":0}]})";
+
+const char* const kEq6G7TTestVerdict =
+    R"({"backend":"campaign","type":"verdict","pass":true,"statistic":"ttest",)"
+    R"("model":"glitch","order":1,"max_minus_log10_p":2.8296126539824757,)"
+    R"("leaking_sets":0,"total_sets":10,"dropped_sets":0,"unevaluated_sets":0,)"
+    R"("simulations_per_group":4096,"early_stopped":false,)"
+    R"("sets":[{"name":"kron.G7.cross10_reg",)"
+    R"("minus_log10_p":2.8296126539824757,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.inner0",)"
+    R"("minus_log10_p":1.1206266289102151,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.cross10",)"
+    R"("minus_log10_p":1.0641047441992335,"bits":5,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.crossprod10",)"
+    R"("minus_log10_p":1.0092790308993376,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.cross01",)"
+    R"("minus_log10_p":0.92635486617162299,"bits":5,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.crossprod01",)"
+    R"("minus_log10_p":0.85408793621823187,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.inner1",)"
+    R"("minus_log10_p":0.74074174878374988,"bits":4,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.inner0_reg",)"
+    R"("minus_log10_p":0.56037452833439916,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.inner1_reg",)"
+    R"("minus_log10_p":0.22876238127747195,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0},{"name":"kron.G7.cross01_reg",)"
+    R"("minus_log10_p":0.066291533441926023,"bits":1,"compacted":false,)"
+    R"("leaking":false,"aliases":0}]})";
+
+TEST(JsonLines, VerdictJsonBytesArePinned) {
+  const netlist::Netlist nl =
+      kronecker_netlist(RandomnessPlan::kron1_demeyer_eq6());
+  eval::CampaignOptions options;
+  options.simulations = 4000;
+  options.fixed_values[0] = 0x00;
+  EXPECT_EQ(eval::verdict_json(eval::run_fixed_vs_random(nl, options)),
+            kEq6GTestVerdict);
+
+  options.statistic = eval::Statistic::kWelchTTest;
+  options.probe_scope_filter = "kron.G7";
+  EXPECT_EQ(eval::verdict_json(eval::run_fixed_vs_random(nl, options)),
+            kEq6G7TTestVerdict);
+}
+
+// Every writer escapes: a gate and an output named with JSON metacharacters
+// come back byte-for-byte from the netlist export, the campaign result, the
+// verdict, and the lint report.
+TEST(JsonLines, NamesWithJsonMetacharactersRoundTrip) {
+  const std::string gate = "g\"quote\\slash\nline\ttab";
+  const std::string output = "o\"quote\\slash\nline\ttab";
+  netlist::Netlist nl;
+  const auto a0 = nl.add_input(netlist::InputRole::kShare, "a0",
+                               netlist::ShareLabel{0, 0, 0});
+  const auto a1 = nl.add_input(netlist::InputRole::kShare, "a1",
+                               netlist::ShareLabel{0, 1, 0});
+  const auto x = nl.xor_(a0, a1);  // recombines the sharing: a leak
+  nl.name_signal(x, gate);
+  nl.add_output(output, nl.reg(x));
+
+  const Json exported = Json::parse(netlist::to_json(nl));
+  EXPECT_EQ(exported.at("gates").items()[x].at("name").as_string(), gate);
+  EXPECT_EQ(exported.at("outputs").items()[0].at("name").as_string(), output);
+
+  // Whether some element of a parsed report list names the gate at `key`.
+  const auto names_gate = [&](const Json& list, const char* key) {
+    const auto& items = list.items();
+    return std::any_of(items.begin(), items.end(), [&](const Json& item) {
+      return item.at(key).as_string() == gate;
+    });
+  };
+  eval::CampaignOptions options;
+  options.simulations = 1000;
+  const eval::CampaignResult result = eval::run_fixed_vs_random(nl, options);
+  EXPECT_FALSE(result.pass);
+  EXPECT_TRUE(names_gate(Json::parse(eval::to_json(result).dump()).at("top"),
+                         "name"));
+  EXPECT_TRUE(names_gate(Json::parse(eval::verdict_json(result)).at("sets"),
+                         "name"));
+  const Json lint_report =
+      Json::parse(eval::to_json(lint::run_lint(nl, {})).dump());
+  EXPECT_TRUE(names_gate(lint_report.at("findings"), "probe"));
 }
 
 // --- the headline: crash-injection recovery ---------------------------------

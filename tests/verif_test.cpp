@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "src/common/check.hpp"
 #include "src/gadgets/bus.hpp"
 #include "src/gadgets/dom.hpp"
@@ -150,10 +152,13 @@ TEST(Exact, TwoDomAndsSharingOneMaskLeak) {
 
 // --- exact verifier vs the paper's claims (glitch model) --------------------------
 
+// The plan name is a string_view, not a const char*: gtest prints a char
+// pointer's address into the test's listed name, which would then differ on
+// every run of the binary.
 class KroneckerExact : public ::testing::TestWithParam<
-                           std::pair<const char*, bool>> {  // (plan, leaks)
+                           std::pair<std::string_view, bool>> {  // (plan, leaks)
  protected:
-  static RandomnessPlan plan_by_name(const std::string& name) {
+  static RandomnessPlan plan_by_name(std::string_view name) {
     if (name == "full") return RandomnessPlan::kron1_full_fresh();
     if (name == "eq6") return RandomnessPlan::kron1_demeyer_eq6();
     if (name == "eq9") return RandomnessPlan::kron1_proposed_eq9();
