@@ -42,6 +42,11 @@ int main(int argc, char** argv) {
   benchutil::Scorecard score("e9_second_order");
   score.note("sims_order1", sims1);
   score.note("sims_order2", sims2);
+  // CPU seconds of an order-2 campaign's G-tests and hosted marginals.
+  const auto note_finalize = [&](const std::string& tag,
+                                 const eval::CampaignResult& result) {
+    score.note(tag + "_finalize_seconds", result.finalize_seconds);
+  };
 
   std::printf("E9: second-order Kronecker delta (3 shares), glitch+transition\n");
   std::printf("    order-1 budget %zu, order-2 budget %zu (SCA_SIMS scales)\n\n",
@@ -68,10 +73,11 @@ int main(int argc, char** argv) {
                benchutil::run_kronecker(full, eval::ProbeModel::kGlitchTransition,
                                         sims1, 1, 3,
                                         staging.with_suffix("full_o1")));
-  score.expect("order 2", true,
-               benchutil::run_kronecker(full, eval::ProbeModel::kGlitchTransition,
-                                        sims2, 2, 3,
-                                        staging.with_suffix("full_o2")));
+  const auto full_o2 = benchutil::run_kronecker(
+      full, eval::ProbeModel::kGlitchTransition, sims2, 2, 3,
+      staging.with_suffix("full_o2"));
+  score.expect("order 2", true, full_o2);
+  note_finalize("full_o2", full_o2);
 
   const auto reduced = gadgets::RandomnessPlan::kron2_reduced();
   std::printf("\n[b] reduced reconstruction, %zu fresh bits (%s)\n",
@@ -87,11 +93,11 @@ int main(int argc, char** argv) {
                                         eval::ProbeModel::kGlitchTransition,
                                         sims1, 1, 3,
                                         staging.with_suffix("reduced_o1")));
-  score.expect("order 2", true,
-               benchutil::run_kronecker(reduced,
-                                        eval::ProbeModel::kGlitchTransition,
-                                        sims2, 2, 3,
-                                        staging.with_suffix("reduced_o2")));
+  const auto reduced_o2 = benchutil::run_kronecker(
+      reduced, eval::ProbeModel::kGlitchTransition, sims2, 2, 3,
+      staging.with_suffix("reduced_o2"));
+  score.expect("order 2", true, reduced_o2);
+  note_finalize("reduced_o2", reduced_o2);
 
   const auto naive = gadgets::RandomnessPlan::kron2_naive13();
   std::printf("\n[c] naive 13-bit slot sharing — the cautionary tale\n");
@@ -108,6 +114,7 @@ int main(int argc, char** argv) {
       naive, eval::ProbeModel::kGlitch, sims2, 2, 3,
       staging.with_suffix("naive_o2"));
   score.expect("caught at order 2", false, naive_o2);
+  note_finalize("naive_o2", naive_o2);
   if (!naive_o2.pass)
     std::printf("  order-2 leak at: %s (-log10 p = %.1f)\n",
                 naive_o2.results.front().name.c_str(),
@@ -133,6 +140,7 @@ int main(int argc, char** argv) {
       staging.with_suffix("leaky_o2"));
   score.note("leaky_o2_max_minus_log10_p",
              static_cast<std::size_t>(leaky_o2.max_minus_log10_p * 100));
+  note_finalize("leaky_o2", leaky_o2);
   if (sims2 >= 200000)
     score.expect("broken reduction caught at order 2 (paper-scale budget)",
                  false, leaky_o2);

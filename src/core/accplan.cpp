@@ -25,9 +25,8 @@ bool is_subset(const std::vector<std::size_t>& a,
   return true;
 }
 
-// The bit positions of `sub`'s points inside `super`'s key (now half at the
-// point's rank in `super`, prev half mirrored `super_points` higher under
-// transitions). Requires sub ⊆ super.
+}  // namespace
+
 std::uint64_t subset_key_mask(const std::vector<std::size_t>& sub,
                               const std::vector<std::size_t>& super,
                               bool transitions) {
@@ -41,8 +40,6 @@ std::uint64_t subset_key_mask(const std::vector<std::size_t>& sub,
   }
   return mask;
 }
-
-}  // namespace
 
 AccumulationPlan compile_accumulation_plan(const std::vector<PlanSetInput>& sets,
                                            const PlanOptions& options) {

@@ -154,6 +154,14 @@ struct AccumulationPlan {
   std::size_t trie_expand_ops_unshared = 0;
 };
 
+/// The bit positions of `sub`'s points inside `super`'s key: the now half
+/// at each point's rank in `super` and, under transitions, the prev half
+/// mirrored super.size() higher. Both lists ascending, sub ⊆ super;
+/// pext(super_key, mask) is then `sub`'s key. Hosting masks are built by it.
+std::uint64_t subset_key_mask(const std::vector<std::size_t>& sub,
+                              const std::vector<std::size_t>& super,
+                              bool transitions);
+
 /// Compiles the batch plan. Deterministic: depends only on `sets` (order
 /// included) and `options`, never on thread count or lane width.
 AccumulationPlan compile_accumulation_plan(const std::vector<PlanSetInput>& sets,

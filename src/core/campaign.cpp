@@ -89,6 +89,7 @@ struct PreparedSet {
   bool compacted = false;
   bool direct_table = false;  // exact keys small enough to direct-index
   std::vector<std::string> aliases;  // folded probes / probe sets
+  std::vector<std::size_t> probes;   // universe indices of the set's probes
   stats::FlatCountTable table;                     // G-test mode
   std::array<stats::MomentAccumulator, 2> moments;  // t-test mode
 };
@@ -106,6 +107,139 @@ struct Sample {
   int group = 0;
   unsigned active = 1;
 };
+
+// --- set-major executor -----------------------------------------------------
+//
+// Order-2 batches hold thousands of exact pair sets of up to 2^16 bins
+// each. Counting them chunk-major (every chunk's samples into every set's
+// table) walks megabytes of tables per sample and leaves a 2^16-bin master
+// per set to merge and scan. The set-major executor turns the loop around:
+// the stage's chunks are simulated once into an observation store, and a
+// worker counts one whole set at a time into a single cache-resident table,
+// then finalizes it on the spot (see DESIGN.md §5).
+
+// One chunk of the observation store. `planes` holds every plane probe's
+// key bytes per observation: planes[(plane * 2 + group) * observations + o]
+// is byte `plane` of the o-th observation of `group` (both groups have
+// `observations` of them). `words` holds the observations' transposed
+// store codes for compacted sets: bit i of
+// words[(block * 2 + group) * observations + o] is code 64 * block + i.
+struct StoreChunk {
+  std::vector<std::uint8_t> planes;
+  std::vector<std::uint64_t> words;
+  std::size_t observations = 0;
+  bool filled = false;
+};
+
+// A probe set's key is the OR of its probes' key bytes, each mapped onto
+// the set's key layout by a 256-entry table: at most two probes of at most
+// 16 key bits each.
+constexpr unsigned kMaxKeyPlanes = 4;
+
+// Per-worker scratch of the set-major executor: one count table over a
+// set's whole key space (32-bit counts — a stage's per-group observations
+// stay below 2^32, see set_major_eligible), an occupancy bitmap that lets
+// a drain visit and re-zero only the touched bins, and the same pair for
+// hosted marginals (64-bit counts: they may fold in master counts).
+struct SetMajorCtx {
+  std::vector<std::uint32_t> counts;  // [2 * key + group]
+  std::vector<std::uint64_t> occupied;
+  std::vector<std::uint64_t> hosted_counts;
+  std::vector<std::uint64_t> hosted_occupied;
+  std::vector<std::size_t> hosted_offsets;  // of each hosted set's slice
+  std::vector<std::uint32_t> keys;                 // drained keys, ascending
+  std::vector<std::array<std::uint64_t, 2>> cols;  // and their counts
+  std::vector<std::array<std::uint64_t, 2>> hosted_cols;
+  std::array<std::uint32_t, kMaxKeyPlanes * 256> luts{};
+  std::vector<std::uint32_t> hw_counts;  // compacted: [(hn, hp), group]
+  std::vector<const std::uint64_t*> hw_words;  // compacted: touched blocks
+  stats::FlatCountTable chunk_table;      // compacted: one chunk's table
+  double histogram_seconds = 0.0;
+  double accumulate_seconds = 0.0;
+  double merge_seconds = 0.0;
+  double finalize_seconds = 0.0;
+};
+
+// Counts n observations of one group: each key is the OR of the lookup
+// fragments of its byte planes. `counts` is pre-offset by the group, so a
+// key's count sits at counts[2 * key].
+template <unsigned kPlanes>
+void count_plane_keys(const std::uint8_t* const* src,
+                      const std::uint32_t* luts, std::size_t n,
+                      std::uint32_t* counts) {
+  for (std::size_t o = 0; o < n; ++o) {
+    std::uint32_t key = luts[src[0][o]];
+    for (unsigned p = 1; p < kPlanes; ++p) key |= luts[p * 256 + src[p][o]];
+    ++counts[2 * std::size_t{key}];
+  }
+}
+
+// Counts n observations of one group of a compacted set: hn and hp are the
+// popcounts of an observation's code words under the set's now and prev
+// masks (mask = {block, now bits, prev bits}; words[k] is block k's
+// column), and counts[2 * (hn * hp_values + hp)] is their bin. kBlocks
+// fixes the number of touched blocks so the loop unrolls; 0 takes it from
+// `blocks`.
+template <std::size_t kBlocks>
+void count_hw_pairs(const std::uint64_t* const* words,
+                    const std::array<std::uint64_t, 3>* masks,
+                    std::size_t blocks, std::size_t n, std::size_t hp_values,
+                    std::uint32_t* counts) {
+  const std::size_t nb = kBlocks ? kBlocks : blocks;
+  for (std::size_t o = 0; o < n; ++o) {
+    std::size_t hn = 0, hp = 0;
+    for (std::size_t k = 0; k < nb; ++k) {
+      const std::uint64_t word = words[k][o];
+      hn += static_cast<std::size_t>(common::popcount64(word & masks[k][1]));
+      hp += static_cast<std::size_t>(common::popcount64(word & masks[k][2]));
+    }
+    ++counts[2 * (hn * hp_values + hp)];
+  }
+}
+
+// The occupancy bitmap of a count table over `space` keys, built after
+// counting in one branch-free pass (marking it per observation would chain
+// every update of a hot bitmap word). Whole 64-key words get a fixed trip
+// count, which the compiler vectorizes.
+template <typename Count>
+void mark_occupied(const Count* counts, std::size_t space,
+                   std::uint64_t* occupied) {
+  const auto word = [&](std::size_t w, std::size_t keys) {
+    const Count* const c = counts + 2 * w * 64;
+    std::uint64_t m = 0;
+    for (std::size_t i = 0; i < keys; ++i)
+      m |= static_cast<std::uint64_t>((c[2 * i] | c[2 * i + 1]) != 0) << i;
+    occupied[w] = m;
+  };
+  std::size_t w = 0;
+  for (; (w + 1) * 64 <= space; ++w) word(w, 64);
+  if (w * 64 < space) word(w, space - w * 64);
+}
+
+// Moves the occupied bins of a count table out as ascending (key, counts)
+// columns — exactly the columns FlatCountTable::g_test builds from the same
+// counts — and re-zeroes just those bins and their occupancy words.
+template <typename Count>
+void drain_occupied(Count* counts, std::uint64_t* occupied, std::size_t words,
+                    std::vector<std::uint32_t>* keys,
+                    std::vector<std::array<std::uint64_t, 2>>& cols) {
+  std::size_t n = 0;
+  for (std::size_t w = 0; w < words; ++w)
+    n += static_cast<std::size_t>(common::popcount64(occupied[w]));
+  cols.resize(n);
+  if (keys) keys->resize(n);
+  std::size_t i = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t m = occupied[w]; m != 0; m &= m - 1, ++i) {
+      const std::size_t key = w * 64 + common::ctz64(m);
+      if (keys) (*keys)[i] = static_cast<std::uint32_t>(key);
+      cols[i] = {counts[2 * key], counts[2 * key + 1]};
+      counts[2 * key] = 0;
+      counts[2 * key + 1] = 0;
+    }
+    occupied[w] = 0;
+  }
+}
 
 // FNV-1a over the signal ids of a sorted observation vector — probe-set
 // dedup key. The map still compares full vectors on hash collision, so a
@@ -288,6 +422,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
         p.name += universe[pi].name;
         p.representatives.push_back(universe[pi].representative);
       }
+      p.probes = set;
       if (set.size() == 1) p.aliases = universe[set[0]].aliases;
       p.dense.reserve(obs.size());
       for (SignalId sig : obs) p.dense.push_back(dense_index.at(sig));
@@ -295,9 +430,9 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       p.compacted = p.observation_bits > exact_limit;
       p.direct_table = !p.compacted &&
                        p.observation_bits <= stats::FlatCountTable::kMaxDirectBits;
+      // Direct master tables materialize when their batch starts, and only
+      // if the batch keeps masters (see the batch loop).
       p.table.set_bin_limit(options.max_bins_per_set);
-      if (p.direct_table)
-        p.table.init_direct(static_cast<unsigned>(p.observation_bits));
       prepared.push_back(std::move(p));
     }
   }
@@ -1010,6 +1145,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   double extract_seconds = 0.0;
   double transpose_seconds = 0.0;
   double histogram_seconds = 0.0;
+  double finalize_seconds = 0.0;
 
   // Resume: load a matching snapshot, restore the finalized results and the
   // in-progress batch's master accumulators, and continue from its cursor.
@@ -1042,6 +1178,10 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       accumulate_seconds = snap.accumulate_seconds;
       merge_seconds = snap.merge_seconds;
       finished = std::move(snap.finished);
+      // Snapshots carry no alias names; the finished results are the
+      // prepared sets' in order, so they come from there.
+      for (std::size_t i = 0; i < finished.size() && i < prepared.size(); ++i)
+        finished[i].aliases = prepared[i].aliases;
       require(complete || resume_batch < batch_ranges.size(),
               "campaign: incomplete checkpoint past the last batch");
       require(complete || resume_stages < stages_total,
@@ -1073,6 +1213,54 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
     }
   }
   std::size_t table_batches = resume_batch;
+
+  // Simulates the wide run starting at `run` — limbs() 64-lane runs at
+  // once, fewer at the chunk tail `run_end` (inactive limbs are fed nothing
+  // and accumulated never) — and appends its samples over `row_signals`,
+  // group 0's then group 1's, to `buf`.
+  auto simulate_block = [&](WorkerCtx& ctx, const CounterPrg& prg,
+                            std::size_t run, std::size_t run_end,
+                            const std::vector<SignalId>& row_signals,
+                            std::vector<Sample>& buf) {
+    const unsigned active =
+        static_cast<unsigned>(std::min<std::size_t>(limbs, run_end - run));
+    const auto sim_start = std::chrono::steady_clock::now();
+    // Groups are interleaved so that a bin-limited table fills its key
+    // space from both groups evenly; running one group first would push the
+    // other group's tail keys into the overflow bin and fake a difference.
+    for (int group = 0; group < 2; ++group) {
+      sim::Simulator& simulator = ctx.simulator;
+      simulator.reset();
+      std::size_t cycle_in_group = 0;
+      // The previous-cycle snapshot only feeds transition models; skipping
+      // it elsewhere saves a full row copy per cycle.
+      for (std::size_t c = 0; c < options.warmup_cycles; ++c) {
+        feed_cycle(simulator, prg, run, active, group, cycle_in_group++);
+        simulator.settle();
+        if (transitions)
+          snapshot_rows(simulator, row_signals, ctx.prev_snapshot);
+        simulator.clock();
+      }
+      for (std::size_t s = 0; s < samples_per_run; ++s) {
+        for (std::size_t c = 0; c < options.sample_interval; ++c) {
+          feed_cycle(simulator, prg, run, active, group, cycle_in_group++);
+          simulator.settle();
+          if (c + 1 == options.sample_interval) {
+            Sample sample;
+            sample.group = group;
+            sample.active = active;
+            snapshot_rows(simulator, row_signals, sample.now);
+            if (transitions) sample.prev = ctx.prev_snapshot;
+            buf.push_back(std::move(sample));
+          }
+          if (transitions)
+            snapshot_rows(simulator, row_signals, ctx.prev_snapshot);
+          simulator.clock();
+        }
+      }
+    }
+    ctx.simulate_seconds += seconds_since(sim_start);
+  };
 
   // One simulation pass over the chunks [chunk_begin, chunk_end) — one
   // evaluation stage — accumulating only the probe sets
@@ -1138,54 +1326,10 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
               std::min(runs_per_group, run_begin + runs_per_chunk);
           std::vector<Sample> buf;
           buf.reserve(2 * samples_per_run);
-          // One iteration simulates limbs() 64-lane runs at once; the last
-          // wide run of the chunk may carry a tail (active < limbs), whose
-          // inactive limbs are fed nothing and accumulated never.
           for (std::size_t run = run_begin; run < run_end; run += limbs) {
-            const unsigned active = static_cast<unsigned>(
-                std::min<std::size_t>(limbs, run_end - run));
             buf.clear();
-            const auto sim_start = std::chrono::steady_clock::now();
-            // Groups are interleaved so that a bin-limited table fills its
-            // key space from both groups evenly; running one group first
-            // would push the other group's tail keys into the overflow bin
-            // and fake a difference.
-            for (int group = 0; group < 2; ++group) {
-              sim::Simulator& simulator = ctx.simulator;
-              simulator.reset();
-              std::size_t cycle_in_group = 0;
-              // The previous-cycle snapshot only feeds transition models;
-              // skipping it elsewhere saves a full row copy per cycle.
-              for (std::size_t c = 0; c < options.warmup_cycles; ++c) {
-                feed_cycle(simulator, prg, run, active, group,
-                           cycle_in_group++);
-                simulator.settle();
-                if (transitions)
-                  snapshot_rows(simulator, row_signals, ctx.prev_snapshot);
-                simulator.clock();
-              }
-              for (std::size_t s = 0; s < samples_per_run; ++s) {
-                for (std::size_t c = 0; c < options.sample_interval; ++c) {
-                  feed_cycle(simulator, prg, run, active, group,
-                             cycle_in_group++);
-                  simulator.settle();
-                  if (c + 1 == options.sample_interval) {
-                    Sample sample;
-                    sample.group = group;
-                    sample.active = active;
-                    snapshot_rows(simulator, row_signals, sample.now);
-                    if (transitions) sample.prev = ctx.prev_snapshot;
-                    buf.push_back(std::move(sample));
-                  }
-                  if (transitions)
-                    snapshot_rows(simulator, row_signals, ctx.prev_snapshot);
-                  simulator.clock();
-                }
-              }
-            }
+            simulate_block(ctx, prg, run, run_end, row_signals, buf);
             const auto acc_start = std::chrono::steady_clock::now();
-            ctx.simulate_seconds +=
-                std::chrono::duration<double>(acc_start - sim_start).count();
             accumulate(plan, buf, shard, acc, ctx.direct_tables, ctx);
             ctx.accumulate_seconds += seconds_since(acc_start);
           }
@@ -1352,10 +1496,474 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
     options.on_stage(rep);
   };
 
+  // --- set-major executor -------------------------------------------------
+  //
+  // Eligible campaigns: order-2 G-test campaigns on the bit-sliced path
+  // whose per-group stage counts fit the workers' 32-bit tables. The store
+  // rows are every point a probe set observes; a probe of an exact
+  // direct-table set gets byte planes holding its key per observation, the
+  // key bits ordered by store code (row r's now value is code r, its prev
+  // value code num_store_rows + r).
+  const bool set_major_eligible =
+      !ttest && bitsliced && options.order >= 2 &&
+      runs_per_group * observations_per_run < (std::size_t{1} << 32);
+  struct PlaneProbe {
+    std::vector<std::uint32_t> codes;  // key bit i = store code codes[i]
+    std::vector<accplan::PackedGather> gathers;  // the same, per block
+    std::uint32_t plane0 = 0;
+    std::uint32_t bytes = 0;  // 0: no exact set reads this probe
+  };
+  std::vector<std::size_t> store_points;  // dense indices, ascending
+  std::vector<SignalId> store_signals;
+  std::vector<std::uint32_t> store_row_of;  // dense index -> store row
+  std::vector<PlaneProbe> plane_probes;
+  std::vector<std::uint32_t> plane_probe_ids;
+  std::uint32_t num_planes = 0;
+  std::size_t store_bytes = 0;
+  bool store_words = false;  // compacted sets read the code words
+  if (set_major_eligible) {
+    for (const PreparedSet& p : prepared) {
+      store_points.insert(store_points.end(), p.dense.begin(), p.dense.end());
+      store_words |= p.compacted;
+    }
+    std::sort(store_points.begin(), store_points.end());
+    store_points.erase(std::unique(store_points.begin(), store_points.end()),
+                       store_points.end());
+    store_row_of.assign(stable_points.size(), 0);
+    for (std::size_t r = 0; r < store_points.size(); ++r) {
+      store_row_of[store_points[r]] = static_cast<std::uint32_t>(r);
+      store_signals.push_back(stable_points[store_points[r]]);
+    }
+    const auto num_store_rows = static_cast<std::uint32_t>(store_points.size());
+    plane_probes.resize(universe.size());
+    for (const PreparedSet& p : prepared) {
+      if (!p.direct_table) continue;
+      for (std::size_t pi : p.probes) {
+        PlaneProbe& probe = plane_probes[pi];
+        if (probe.bytes) continue;
+        for (SignalId sig : universe[pi].observed) {
+          const std::uint32_t row = store_row_of[dense_index.at(sig)];
+          probe.codes.push_back(row);
+          if (transitions) probe.codes.push_back(num_store_rows + row);
+        }
+        std::sort(probe.codes.begin(), probe.codes.end());
+        SCA_ASSERT(probe.codes.size() <= 16,
+                   "campaign: a direct set's probe exceeds 16 key bits");
+        for (std::size_t i = 0; i < probe.codes.size(); ++i) {
+          const std::uint32_t block = probe.codes[i] / 64;
+          const std::uint64_t bit = std::uint64_t{1} << (probe.codes[i] % 64);
+          if (!probe.gathers.empty() && probe.gathers.back().block == block)
+            probe.gathers.back().mask |= bit;
+          else
+            probe.gathers.push_back(
+                {block, bit, static_cast<std::uint8_t>(i)});
+        }
+        probe.bytes = static_cast<std::uint32_t>((probe.codes.size() + 7) / 8);
+        probe.plane0 = num_planes;
+        num_planes += probe.bytes;
+        plane_probe_ids.push_back(static_cast<std::uint32_t>(pi));
+      }
+    }
+    const std::size_t num_codes = store_points.size() * (transitions ? 2 : 1);
+    store_bytes = 2 * runs_per_group * observations_per_run *
+                  ((store_words ? num_codes / 8 : 0) + num_planes);
+  }
+
+  // The store, filled chunk by chunk on first use and retained for every
+  // later batch and stage.
+  std::vector<StoreChunk> store;  // empty until a batch first reads it
+  auto fill_store = [&](std::size_t chunk_begin, std::size_t chunk_end) {
+    if (store.empty()) store.resize(num_chunks);
+    std::vector<std::size_t> missing;
+    for (std::size_t c = chunk_begin; c < chunk_end; ++c)
+      if (!store[c].filled) missing.push_back(c);
+    const std::size_t num_rows = store_points.size();
+    const std::size_t num_codes = num_rows * (transitions ? 2 : 1);
+    const std::size_t nblocks = common::ceil_div(num_codes, std::size_t{64});
+    std::mutex timer_mutex;
+    common::parallel_for_stateful(
+        missing.size(), threads, [&] { return WorkerCtx(schedule); },
+        [&](WorkerCtx& ctx, std::size_t i) {
+          StoreChunk& out = store[missing[i]];
+          const std::size_t run_begin = missing[i] * runs_per_chunk;
+          const std::size_t run_end =
+              std::min(runs_per_group, run_begin + runs_per_chunk);
+          const std::size_t n = (run_end - run_begin) * observations_per_run;
+          out.observations = n;
+          out.planes.assign(std::size_t{num_planes} * 2 * n, 0);
+          if (store_words) out.words.assign(nblocks * 2 * n, 0);
+          const CounterPrg prg(options.seed);
+          std::vector<Sample> buf;
+          std::array<std::size_t, 2> next{0, 0};
+          ctx.block_scratch.assign(nblocks * 64, 0);
+          std::uint64_t* const blk = ctx.block_scratch.data();
+          for (std::size_t run = run_begin; run < run_end; run += limbs) {
+            buf.clear();
+            simulate_block(ctx, prg, run, run_end, store_signals, buf);
+            for (const Sample& sample : buf) {
+              const auto group = static_cast<std::size_t>(sample.group);
+              for (unsigned b = 0; b < sample.active; ++b) {
+                const auto t0 = std::chrono::steady_clock::now();
+                for (std::size_t code = 0; code < num_codes; ++code)
+                  blk[code] = code < num_rows
+                                  ? sample.now[code * limbs + b]
+                                  : sample.prev[(code - num_rows) * limbs + b];
+                std::fill(blk + num_codes, blk + nblocks * 64,
+                          std::uint64_t{0});
+                const auto t1 = std::chrono::steady_clock::now();
+                for (std::size_t k = 0; k < nblocks; ++k)
+                  common::transpose64(blk + k * 64);
+                const auto t2 = std::chrono::steady_clock::now();
+                for (std::uint32_t pi : plane_probe_ids) {
+                  const PlaneProbe& probe = plane_probes[pi];
+                  std::uint8_t* const dst =
+                      out.planes.data() +
+                      (std::size_t{probe.plane0} * 2 + group) * n + next[group];
+                  for (unsigned lane = 0; lane < 64; ++lane) {
+                    std::uint64_t key = 0;
+                    for (const accplan::PackedGather& g : probe.gathers)
+                      key |= common::extract_bits64(
+                                 blk[std::size_t{g.block} * 64 + lane], g.mask)
+                             << g.shift;
+                    dst[lane] = static_cast<std::uint8_t>(key);
+                    if (probe.bytes > 1)
+                      dst[2 * n + lane] = static_cast<std::uint8_t>(key >> 8);
+                  }
+                }
+                next[group] += 64;
+                if (store_words)
+                  for (std::size_t k = 0; k < nblocks; ++k)
+                    std::copy(blk + k * 64, blk + k * 64 + 64,
+                              out.words.data() + (k * 2 + group) * n +
+                                  next[group] - 64);
+                const auto t3 = std::chrono::steady_clock::now();
+                ctx.transpose_seconds +=
+                    std::chrono::duration<double>(t2 - t1).count();
+                ctx.extract_seconds +=
+                    std::chrono::duration<double>((t1 - t0) + (t3 - t2))
+                        .count();
+                ctx.accumulate_seconds +=
+                    std::chrono::duration<double>(t3 - t0).count();
+              }
+            }
+          }
+          out.filled = true;
+        },
+        [&](WorkerCtx& ctx) {
+          std::lock_guard<std::mutex> lock(timer_mutex);
+          simulate_seconds += ctx.simulate_seconds;
+          accumulate_seconds += ctx.accumulate_seconds;
+          extract_seconds += ctx.extract_seconds;
+          transpose_seconds += ctx.transpose_seconds;
+        });
+    for (std::size_t c : missing) {
+      const std::size_t run_begin = c * runs_per_chunk;
+      const std::size_t run_end =
+          std::min(runs_per_group, run_begin + runs_per_chunk);
+      total_cycles += (run_end - run_begin) * cycles_per_run;
+    }
+  };
+
+  // A batch runs set-major when every exact set in it is direct-indexed and
+  // the store is already filled or smaller than the direct master tables
+  // the batch would otherwise materialize.
+  auto takes_set_major = [&](std::size_t set_begin, std::size_t set_end) {
+    if (!set_major_eligible) return false;
+    std::size_t table_bytes = 0;
+    for (std::size_t si = set_begin; si < set_end; ++si) {
+      if (prepared[si].compacted) continue;
+      if (!prepared[si].direct_table) return false;
+      table_bytes += std::size_t{16} << prepared[si].observation_bits;
+    }
+    return !store.empty() || store_bytes < table_bytes;
+  };
+
+  // The work items of a set-major batch: its live sets in batch order, each
+  // carrying the hosted sets whose host chain ends at it, with their key
+  // masks inside its key — hosted sets go to the worker of their root.
+  struct SetMajorItem {
+    std::uint32_t set = 0;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> hosted;
+  };
+  auto set_major_items = [&](const accplan::AccumulationPlan& plan,
+                             std::size_t set_begin) {
+    std::vector<SetMajorItem> items;
+    std::vector<std::size_t> item_of(plan.sets.size(), 0);
+    for (std::size_t l = 0; l < plan.sets.size(); ++l) {
+      if (plan.sets[l].regime == accplan::AccRegime::kHosted) continue;
+      item_of[l] = items.size();
+      items.push_back({static_cast<std::uint32_t>(l), {}});
+    }
+    for (std::size_t l = 0; l < plan.sets.size(); ++l) {
+      if (plan.sets[l].regime != accplan::AccRegime::kHosted) continue;
+      std::uint32_t root = plan.sets[l].host;
+      while (plan.sets[root].regime == accplan::AccRegime::kHosted)
+        root = plan.sets[root].host;
+      items[item_of[root]].hosted.emplace_back(
+          static_cast<std::uint32_t>(l),
+          accplan::subset_key_mask(prepared[set_begin + l].dense,
+                                   prepared[set_begin + root].dense,
+                                   transitions));
+    }
+    return items;
+  };
+
+  // Counts the chunks [chunk_begin, chunk_end) of a set-major batch — one
+  // stage, or every stage so far when nobody observed the earlier ones.
+  // Workers claim items; an exact set counts the range into the worker's
+  // table and, when the batch keeps masters, folds the occupied bins into
+  // its master and rebuilds its hosted sets' masters from it. With
+  // `finalize` (the batch's last stage) the worker instead G-tests the
+  // cumulative counts — the worker table's, or the master's after the fold
+  // — and the marginals of the sets it hosts, writing batch_g. Compacted
+  // sets merge their chunk tables into their master in chunk order,
+  // exactly as the chunk-major executor does.
+  auto run_set_major_stage = [&](const std::vector<SetMajorItem>& items,
+                                 std::size_t set_begin,
+                                 std::size_t chunk_begin,
+                                 std::size_t chunk_end, bool finalize,
+                                 std::vector<stats::GTestResult>& batch_g) {
+    fill_store(chunk_begin, chunk_end);
+    const std::size_t num_rows = store_points.size();
+    std::mutex timer_mutex;
+    common::parallel_for_stateful(
+        items.size(), threads, [] { return SetMajorCtx(); },
+        [&](SetMajorCtx& w, std::size_t idx) {
+          const SetMajorItem& item = items[idx];
+          PreparedSet& set = prepared[set_begin + item.set];
+          const auto t0 = std::chrono::steady_clock::now();
+          if (set.compacted) {
+            // Per-block masks of the set's now and prev codes: an
+            // observation's (hn, hp) are popcounts of its code words, and
+            // a chunk's counts enter the chunk table in ascending key
+            // order before the chunk-ordered master merge.
+            const std::size_t m = set.dense.size();
+            std::vector<std::array<std::uint64_t, 3>> masks;  // block, now, prev
+            for (std::size_t half = 0; half < (transitions ? 2 : 1); ++half)
+              for (std::size_t pt : set.dense) {
+                const std::size_t code = store_row_of[pt] + half * num_rows;
+                auto it = std::find_if(masks.begin(), masks.end(),
+                                       [&](const auto& e) {
+                                         return e[0] == code / 64;
+                                       });
+                if (it == masks.end())
+                  it = masks.insert(masks.end(), {code / 64, 0, 0});
+                (*it)[1 + half] |= std::uint64_t{1} << (code % 64);
+              }
+            const std::size_t hp_values = transitions ? m + 1 : 1;
+            w.hw_counts.assign((m + 1) * hp_values * 2, 0);
+            double merge_secs = 0.0;
+            for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
+              const StoreChunk& chunk = store[c];
+              const std::size_t n = chunk.observations;
+              for (std::size_t group = 0; group < 2; ++group) {
+                w.hw_words.clear();
+                for (const auto& mask : masks)
+                  w.hw_words.push_back(chunk.words.data() +
+                                       (mask[0] * 2 + group) * n);
+                std::uint32_t* const counts = w.hw_counts.data() + group;
+                switch (masks.size()) {
+                  case 1:
+                    count_hw_pairs<1>(w.hw_words.data(), masks.data(), 1, n,
+                                      hp_values, counts);
+                    break;
+                  case 2:
+                    count_hw_pairs<2>(w.hw_words.data(), masks.data(), 2, n,
+                                      hp_values, counts);
+                    break;
+                  case 3:
+                    count_hw_pairs<3>(w.hw_words.data(), masks.data(), 3, n,
+                                      hp_values, counts);
+                    break;
+                  default:
+                    count_hw_pairs<0>(w.hw_words.data(), masks.data(),
+                                      masks.size(), n, hp_values, counts);
+                    break;
+                }
+              }
+              const auto m0 = std::chrono::steady_clock::now();
+              w.chunk_table.clear();
+              for (std::size_t hn = 0; hn <= m; ++hn)
+                for (std::size_t hp = 0; hp < hp_values; ++hp)
+                  for (int group = 0; group < 2; ++group) {
+                    std::uint32_t& cnt =
+                        w.hw_counts[2 * (hn * hp_values + hp) +
+                                    static_cast<std::size_t>(group)];
+                    if (cnt) w.chunk_table.add(hn * 257 + hp, group, cnt);
+                    cnt = 0;
+                  }
+              set.table.merge(w.chunk_table);
+              merge_secs += seconds_since(m0);
+            }
+            const double secs = seconds_since(t0) - merge_secs;
+            w.histogram_seconds += secs;
+            w.accumulate_seconds += secs;
+            w.merge_seconds += merge_secs;
+            if (finalize) {
+              const auto f0 = std::chrono::steady_clock::now();
+              batch_g[item.set] = set.table.g_test();
+              w.finalize_seconds += seconds_since(f0);
+            }
+            return;
+          }
+
+          // Lookup tables mapping each probe key byte onto the set's key:
+          // probe key bit i is store code codes[i], i.e. the now (or prev)
+          // value of a point at some rank j of the set's dense list — set
+          // key bit j (or dense.size() + j).
+          const std::size_t space = std::size_t{1} << set.observation_bits;
+          const std::size_t words = std::max<std::size_t>(1, space / 64);
+          if (w.counts.size() < 2 * space) w.counts.resize(2 * space, 0);
+          if (w.occupied.size() < words) w.occupied.resize(words, 0);
+          std::array<std::uint32_t, kMaxKeyPlanes> plane_ids{};
+          unsigned nplanes = 0;
+          for (std::size_t pi : set.probes) {
+            const PlaneProbe& probe = plane_probes[pi];
+            for (std::uint32_t byte = 0; byte < probe.bytes; ++byte) {
+              SCA_ASSERT(nplanes < kMaxKeyPlanes,
+                         "campaign: probe set exceeds the key planes");
+              std::array<std::uint32_t, 8> bit{};
+              for (std::size_t j = 0; j < 8; ++j) {
+                const std::size_t i = 8 * byte + j;
+                if (i >= probe.codes.size()) break;
+                const bool prev = probe.codes[i] >= num_rows;
+                const std::size_t pt =
+                    store_points[probe.codes[i] - (prev ? num_rows : 0)];
+                const std::size_t rank = static_cast<std::size_t>(
+                    std::find(set.dense.begin(), set.dense.end(), pt) -
+                    set.dense.begin());
+                bit[j] = std::uint32_t{1}
+                         << (prev ? set.dense.size() + rank : rank);
+              }
+              std::uint32_t* const lut = w.luts.data() + nplanes * 256;
+              lut[0] = 0;
+              for (std::uint32_t v = 1; v < 256; ++v)
+                lut[v] = lut[v & (v - 1)] | bit[common::ctz64(v)];
+              plane_ids[nplanes++] = probe.plane0 + byte;
+            }
+          }
+          for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
+            const StoreChunk& chunk = store[c];
+            const std::size_t n = chunk.observations;
+            for (std::size_t group = 0; group < 2; ++group) {
+              std::array<const std::uint8_t*, kMaxKeyPlanes> src{};
+              for (unsigned k = 0; k < nplanes; ++k)
+                src[k] = chunk.planes.data() +
+                         (std::size_t{plane_ids[k]} * 2 + group) * n;
+              std::uint32_t* const counts = w.counts.data() + group;
+              switch (nplanes) {
+                case 1:
+                  count_plane_keys<1>(src.data(), w.luts.data(), n, counts);
+                  break;
+                case 2:
+                  count_plane_keys<2>(src.data(), w.luts.data(), n, counts);
+                  break;
+                case 3:
+                  count_plane_keys<3>(src.data(), w.luts.data(), n, counts);
+                  break;
+                default:
+                  count_plane_keys<4>(src.data(), w.luts.data(), n, counts);
+                  break;
+              }
+            }
+          }
+          mark_occupied(w.counts.data(), space, w.occupied.data());
+          drain_occupied(w.counts.data(), w.occupied.data(), words, &w.keys,
+                         w.cols);
+          const double count_secs = seconds_since(t0);
+          w.histogram_seconds += count_secs;
+          w.accumulate_seconds += count_secs;
+
+          if (set.table.direct_mode()) {
+            const auto m0 = std::chrono::steady_clock::now();
+            std::uint64_t* const master = set.table.direct_data();
+            for (std::size_t i = 0; i < w.keys.size(); ++i) {
+              master[2 * std::size_t{w.keys[i]}] += w.cols[i][0];
+              master[2 * std::size_t{w.keys[i]} + 1] += w.cols[i][1];
+            }
+            if (finalize || !item.hosted.empty()) {
+              // The cumulative counts are the master's.
+              w.keys.clear();
+              w.cols.clear();
+              for (std::size_t key = 0; key < space; ++key) {
+                if (!master[2 * key] && !master[2 * key + 1]) continue;
+                w.keys.push_back(static_cast<std::uint32_t>(key));
+                w.cols.push_back({master[2 * key], master[2 * key + 1]});
+              }
+            }
+            w.merge_seconds += seconds_since(m0);
+          }
+          const auto f0 = std::chrono::steady_clock::now();
+          if (!finalize) {
+            // An earlier stage: rebuild the hosted masters as marginals of
+            // the cumulative counts, for interim statistics and snapshots.
+            for (const auto& [hosted, mask] : item.hosted) {
+              stats::FlatCountTable& table = prepared[set_begin + hosted].table;
+              table.clear();
+              std::uint64_t* const counts = table.direct_data();
+              for (std::size_t i = 0; i < w.keys.size(); ++i) {
+                const std::size_t key = static_cast<std::size_t>(
+                    common::extract_bits64(w.keys[i], mask));
+                counts[2 * key] += w.cols[i][0];
+                counts[2 * key + 1] += w.cols[i][1];
+              }
+            }
+            w.finalize_seconds += seconds_since(f0);
+            return;
+          }
+          batch_g[item.set] = stats::g_test_columns(w.cols);
+          // Every hosted marginal in one pass over the root's columns, each
+          // into its own slice of the scratch.
+          std::size_t hosted_total = 0;
+          w.hosted_offsets.clear();
+          for (const auto& hosted : item.hosted) {
+            w.hosted_offsets.push_back(hosted_total);
+            hosted_total +=
+                std::size_t{2}
+                << prepared[set_begin + hosted.first].observation_bits;
+          }
+          if (w.hosted_counts.size() < hosted_total)
+            w.hosted_counts.resize(hosted_total, 0);
+          for (std::size_t i = 0; i < w.keys.size(); ++i)
+            for (std::size_t h = 0; h < item.hosted.size(); ++h) {
+              std::uint64_t* const counts =
+                  w.hosted_counts.data() + w.hosted_offsets[h];
+              const std::size_t key = static_cast<std::size_t>(
+                  common::extract_bits64(w.keys[i], item.hosted[h].second));
+              counts[2 * key] += w.cols[i][0];
+              counts[2 * key + 1] += w.cols[i][1];
+            }
+          for (std::size_t h = 0; h < item.hosted.size(); ++h) {
+            const std::size_t hspace =
+                std::size_t{1}
+                << prepared[set_begin + item.hosted[h].first].observation_bits;
+            const std::size_t hwords = std::max<std::size_t>(1, hspace / 64);
+            if (w.hosted_occupied.size() < hwords)
+              w.hosted_occupied.resize(hwords, 0);
+            std::uint64_t* const counts =
+                w.hosted_counts.data() + w.hosted_offsets[h];
+            mark_occupied(counts, hspace, w.hosted_occupied.data());
+            drain_occupied(counts, w.hosted_occupied.data(), hwords, nullptr,
+                           w.hosted_cols);
+            batch_g[item.hosted[h].first] =
+                stats::g_test_columns(w.hosted_cols);
+          }
+          w.finalize_seconds += seconds_since(f0);
+        },
+        [&](SetMajorCtx& w) {
+          std::lock_guard<std::mutex> lock(timer_mutex);
+          accumulate_seconds += w.accumulate_seconds;
+          histogram_seconds += w.histogram_seconds;
+          merge_seconds += w.merge_seconds;
+          finalize_seconds += w.finalize_seconds;
+        });
+  };
+
   for (std::size_t b = resume_batch;
        b < batch_ranges.size() && !complete && !interrupted && !early_stopped;
        ++b) {
     const auto [set_begin, set_end] = batch_ranges[b];
+    const bool set_major = takes_set_major(set_begin, set_end);
 
     // Compile the batch's accumulation plan: regimes, subset hosting,
     // shared-trie / shared-block CSE, and the shard partition. The plan is
@@ -1373,14 +1981,35 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
     plan_options.ttest = ttest;
     plan_options.fuse = bitsliced;
     plan_options.narrow_bits = kPopcountBits;
-    plan_options.shards = shard_target;
+    plan_options.shards = set_major ? 1 : shard_target;
     const accplan::AccumulationPlan plan =
         accplan::compile_accumulation_plan(plan_inputs, plan_options);
     hosted_total += plan.hosted_sets;
     max_set_shards = std::max(max_set_shards, plan.shards.size());
     std::vector<SignalId> row_signals;
-    row_signals.reserve(plan.rows.size());
-    for (std::size_t r : plan.rows) row_signals.push_back(stable_points[r]);
+    if (!set_major) {
+      row_signals.reserve(plan.rows.size());
+      for (std::size_t r : plan.rows) row_signals.push_back(stable_points[r]);
+    }
+    const std::vector<SetMajorItem> items =
+        set_major ? set_major_items(plan, set_begin)
+                  : std::vector<SetMajorItem>();
+
+    // Direct master tables materialize now, for the batch's sets only —
+    // except in a set-major batch that starts from scratch and whose
+    // earlier stages nobody observes (no interim statistics, snapshots or
+    // kill hook): it counts its whole budget on the last stage, and its
+    // workers finalize every set from their own tables.
+    const std::size_t first_stage = b == resume_batch ? resume_stages : 0;
+    const bool stages_observed =
+        want_interim || checkpointing || options.stop_after_stage > 0;
+    const bool masters = !set_major || first_stage > 0 ||
+                         (stages_observed && stages_total - first_stage > 1);
+    if (masters && !ttest)
+      for (std::size_t si = set_begin; si < set_end; ++si)
+        if (prepared[si].direct_table && !prepared[si].table.direct_mode())
+          prepared[si].table.init_direct(
+              static_cast<unsigned>(prepared[si].observation_bits));
 
     // Hosted sets' master tables are exact integer marginals of their
     // host's — recomputed from scratch after every stage, so interim
@@ -1398,40 +2027,61 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
         dst.add_marginalized(prepared[set_begin + sp.host].table,
                              sp.host_mask);
       }
-      merge_seconds += seconds_since(t0);
+      finalize_seconds += seconds_since(t0);
     };
 
-    const std::size_t first_stage = b == resume_batch ? resume_stages : 0;
+    // Per-set G-test results of the batch once final: filled by set-major
+    // workers on the last stage, else from the master tables below.
+    std::vector<stats::GTestResult> batch_g(set_end - set_begin);
+    bool finalized = false;
     std::size_t final_stage = stages_total;
     double last_stage_secs = 0.0;
     for (std::size_t s = first_stage; s < stages_total; ++s) {
       const auto stage_start = std::chrono::steady_clock::now();
-      simulate_into(plan, row_signals, set_begin, set_end, stage_bounds[s],
-                    stage_bounds[s + 1]);
-      materialize_hosted();
+      if (!set_major) {
+        simulate_into(plan, row_signals, set_begin, set_end, stage_bounds[s],
+                      stage_bounds[s + 1]);
+        materialize_hosted();
+      } else {
+        finalized = s + 1 == stages_total;
+        if (masters || finalized)
+          run_set_major_stage(items, set_begin,
+                              stage_bounds[masters ? s : first_stage],
+                              stage_bounds[s + 1], finalized, batch_g);
+        else
+          fill_store(stage_bounds[s], stage_bounds[s + 1]);
+        simulations_done +=
+            (std::min(runs_per_group, stage_bounds[s + 1] * runs_per_chunk) -
+             stage_bounds[s] * runs_per_chunk) *
+            observations_per_run;
+      }
       const double stage_secs = seconds_since(stage_start);
       last_stage_secs = stage_secs;
       ++stages_completed;
       ++stages_run_here;
 
       // Interim verdict-so-far over the current batch's master
-      // accumulators, on top of the finalized-batch baseline.
+      // accumulators (or its final results), on top of the finalized-batch
+      // baseline.
       double cur_max = finished_max;
       std::string worst = finished_worst;
       std::size_t leaks = finished_leaks;
       if (want_interim) {
+        const auto t0 = std::chrono::steady_clock::now();
         for (std::size_t si = set_begin; si < set_end; ++si) {
           const double sev =
               ttest ? std::abs(stats::welch_t_test(prepared[si].moments[0],
                                                    prepared[si].moments[1])
                                    .t)
-                    : prepared[si].table.g_test().minus_log10_p;
+              : finalized ? batch_g[si - set_begin].minus_log10_p
+                          : prepared[si].table.g_test().minus_log10_p;
           if (sev > threshold) ++leaks;
           if (sev > cur_max) {
             cur_max = sev;
             worst = prepared[si].name;
           }
         }
+        if (!ttest) finalize_seconds += seconds_since(t0);
         if (early_stop_enabled) {
           if (cur_max > threshold + options.early_stop_margin)
             ++streak;
@@ -1461,6 +2111,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
 
     // Finalize the batch — under early stopping, from its partial counts —
     // and release its table memory.
+    const auto finalize_start = std::chrono::steady_clock::now();
     for (std::size_t i = set_begin; i < set_end; ++i) {
       ProbeSetResult r;
       r.name = std::move(prepared[i].name);
@@ -1473,7 +2124,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
                                   prepared[i].moments[1]);
         r.severity = std::abs(r.t.t);
       } else {
-        r.g = prepared[i].table.g_test();
+        r.g = finalized ? batch_g[i - set_begin] : prepared[i].table.g_test();
         prepared[i].table = stats::FlatCountTable();
         r.severity = r.g.minus_log10_p;
       }
@@ -1485,6 +2136,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
       if (r.severity > threshold) ++finished_leaks;
       finished.push_back(std::move(r));
     }
+    if (!ttest && !finalized) finalize_seconds += seconds_since(finalize_start);
     ++table_batches;
 
     const bool campaign_over =
@@ -1515,6 +2167,7 @@ CampaignResult run_fixed_vs_random(const Netlist& nl,
   result.extract_seconds = extract_seconds;
   result.transpose_seconds = transpose_seconds;
   result.histogram_seconds = histogram_seconds;
+  result.finalize_seconds = finalize_seconds;
   result.aliased_probe_sets = aliased_probe_sets;
   result.hosted_sets = hosted_total;
   result.set_shards = max_set_shards;

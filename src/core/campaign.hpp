@@ -151,10 +151,12 @@ struct CampaignOptions {
   std::size_t max_bins_per_set = 1u << 16;
 
   /// Approximate memory budget for contingency tables. Large order-2
-  /// campaigns are split into probe-set batches, re-running the (cheap,
-  /// seeded) simulation once per batch to stay under the budget. The budget
+  /// campaigns are split into probe-set batches to stay under the budget;
+  /// a chunk-major batch re-runs the (cheap, seeded) simulation, a
+  /// set-major batch reads the campaign's observation store. The budget
   /// covers the master tables plus every worker's in-flight chunk tables,
-  /// so the per-batch share shrinks as the thread count grows.
+  /// so the per-batch share shrinks as the thread count grows; a set-major
+  /// batch that finalizes in one go materializes no master tables at all.
   std::size_t table_memory_budget = std::size_t{4096} * 1024 * 1024;
 
   // --- staged evaluation --------------------------------------------------
@@ -233,7 +235,8 @@ struct CampaignResult {
   std::size_t simulations_per_group = 0;
   unsigned threads_used = 1;     ///< resolved worker-thread count
   unsigned lanes_used = 64;      ///< resolved simulation lane width
-  /// Simulated clock cycles over all runs, groups, and table batches, in
+  /// Simulated clock cycles over all runs, groups, and table batches that
+  /// simulated (set-major batches share one simulation of each chunk), in
   /// 64-lane-run units regardless of lane width (wide words retire
   /// lanes/64 of these per settle() pass); gate evaluations =
   /// total_cycles x combinational gates x 64 lanes. Feeds the perf
@@ -255,6 +258,10 @@ struct CampaignResult {
   double extract_seconds = 0.0;
   double transpose_seconds = 0.0;
   double histogram_seconds = 0.0;
+  /// Finalize phase: CPU seconds in G-tests (interim and final) and hosted
+  /// marginals. Not checkpointed, like the accumulation sub-phases: a
+  /// resumed campaign counts only its own.
+  double finalize_seconds = 0.0;
   /// Alias names recorded across all probe sets: probe positions folded at
   /// universe build (identical glitch cones) plus probe sets folded at
   /// enumeration (identical union observations). Each rode along on a
@@ -276,8 +283,9 @@ struct CampaignResult {
   bool early_stopped = false;  ///< early stopping cut the budget short
   bool interrupted = false;    ///< stop_after_stage fired; snapshot on disk
   bool resumed = false;        ///< continued from a checkpoint
-  /// Per-group observations actually simulated, summed over every pass and
-  /// batch (equals simulations_per_group x table_batches when uninterrupted).
+  /// Per-group observations evaluated, summed over every batch's pass over
+  /// the budget (equals simulations_per_group x table_batches when
+  /// uninterrupted), whether the batch simulated them or read the store.
   std::size_t simulations_done = 0;
   /// Sets never evaluated because early stopping skipped their batches.
   std::size_t unevaluated_sets = 0;

@@ -140,6 +140,7 @@ Json to_json(const CampaignResult& result, std::size_t top_n) {
   j.set("extract_seconds", result.extract_seconds);
   j.set("transpose_seconds", result.transpose_seconds);
   j.set("histogram_seconds", result.histogram_seconds);
+  j.set("finalize_seconds", result.finalize_seconds);
   j.set("aliased_probe_sets", result.aliased_probe_sets);
   j.set("hosted_sets", result.hosted_sets);
   j.set("set_shards", result.set_shards);

@@ -113,10 +113,8 @@ std::uint64_t ContingencyTable::group_total(int group) const {
   return total;
 }
 
-namespace {
-
-GTestResult g_test_on_columns(std::vector<std::array<std::uint64_t, 2>> cols,
-                              double min_expected) {
+GTestResult g_test_columns(const std::vector<std::array<std::uint64_t, 2>>& cols,
+                           double min_expected) {
   GTestResult result;
   std::uint64_t n0 = 0, n1 = 0;
   for (const auto& c : cols) {
@@ -135,43 +133,62 @@ GTestResult g_test_on_columns(std::vector<std::array<std::uint64_t, 2>> cols,
   }
 
   // Pool low-expectation columns into one residual column so the chi-squared
-  // null stays a good approximation for the G statistic.
-  std::vector<std::array<std::uint64_t, 2>> pooled;
+  // null stays a good approximation for the G statistic. A column pools
+  // when its expected count in the smaller group, col_total * min(n0, n1) /
+  // n in floating point, is below min_expected. That expression never
+  // decreases as col_total grows, so the kept columns are exactly those at
+  // or above the smallest total it accepts — found once by bisection over
+  // the very same expression instead of a multiply and divide per column.
+  const double min_group = static_cast<double>(std::min(n0, n1));
+  const auto pools = [&](std::uint64_t col_total) {
+    return static_cast<double>(col_total) * min_group / n < min_expected;
+  };
+  std::uint64_t keep_from = 0;
+  for (std::uint64_t hi = n0 + n1 + 1; keep_from < hi;) {
+    const std::uint64_t mid = keep_from + (hi - keep_from) / 2;
+    if (pools(mid))
+      keep_from = mid + 1;
+    else
+      hi = mid;
+  }
+
+  // One pass in column order; the residual column comes last, as if
+  // appended after the kept ones.
+  double g = 0.0;
+  double sum_inv_col = 0.0;
+  const auto add_column = [&](std::uint64_t c0, std::uint64_t c1) {
+    const double col_total = static_cast<double>(c0 + c1);
+    sum_inv_col += 1.0 / col_total;
+    const double e0 = col_total * static_cast<double>(n0) / n;
+    const double e1 = col_total * static_cast<double>(n1) / n;
+    if (c0 > 0) g += static_cast<double>(c0) *
+                     std::log(static_cast<double>(c0) / e0);
+    if (c1 > 0) g += static_cast<double>(c1) *
+                     std::log(static_cast<double>(c1) / e1);
+  };
   std::array<std::uint64_t, 2> residual{0, 0};
   bool residual_used = false;
+  std::size_t kept = 0;
   for (const auto& c : cols) {
-    const double col_total = static_cast<double>(c[0] + c[1]);
-    const double min_exp_in_col =
-        col_total * static_cast<double>(std::min(n0, n1)) / n;
-    if (min_exp_in_col < min_expected) {
+    if (c[0] + c[1] < keep_from) {
       residual[0] += c[0];
       residual[1] += c[1];
       residual_used = true;
     } else {
-      pooled.push_back(c);
+      add_column(c[0], c[1]);
+      ++kept;
     }
   }
-  if (residual_used) pooled.push_back(residual);
+  if (residual_used) add_column(residual[0], residual[1]);
 
-  result.bins = pooled.size();
-  if (pooled.size() < 2) {
+  const std::size_t bins = kept + (residual_used ? 1 : 0);
+  result.bins = bins;
+  if (bins < 2) {
     result.df = 0;
     result.minus_log10_p = 0.0;
     return result;
   }
 
-  double g = 0.0;
-  double sum_inv_col = 0.0;
-  for (const auto& c : pooled) {
-    const double col_total = static_cast<double>(c[0] + c[1]);
-    sum_inv_col += 1.0 / col_total;
-    const double e0 = col_total * static_cast<double>(n0) / n;
-    const double e1 = col_total * static_cast<double>(n1) / n;
-    if (c[0] > 0) g += static_cast<double>(c[0]) *
-                       std::log(static_cast<double>(c[0]) / e0);
-    if (c[1] > 0) g += static_cast<double>(c[1]) *
-                       std::log(static_cast<double>(c[1]) / e1);
-  }
   g *= 2.0;
   if (g < 0.0) g = 0.0;  // guard tiny negative rounding noise
 
@@ -180,7 +197,7 @@ GTestResult g_test_on_columns(std::vector<std::array<std::uint64_t, 2>> cols,
   // chi-squared null, which at tens of thousands of degrees of freedom is
   // enough to cross any fixed significance threshold. The correction removes
   // that bias and is negligible (q ~ 1) for the gross leaks we care about.
-  const double df = static_cast<double>(pooled.size() - 1);
+  const double df = static_cast<double>(bins - 1);
   const double row_term =
       n * (1.0 / static_cast<double>(n0) + 1.0 / static_cast<double>(n1)) - 1.0;
   const double col_term = n * sum_inv_col - 1.0;
@@ -188,18 +205,16 @@ GTestResult g_test_on_columns(std::vector<std::array<std::uint64_t, 2>> cols,
   if (q > 1.0) g /= q;
 
   result.g = g;
-  result.df = pooled.size() - 1;
+  result.df = bins - 1;
   result.minus_log10_p = chi2_minus_log10_p(g, result.df);
   return result;
 }
-
-}  // namespace
 
 GTestResult ContingencyTable::g_test(double min_expected) const {
   std::vector<std::array<std::uint64_t, 2>> cols;
   cols.reserve(counts_.size());
   for (const auto& [key, cnt] : counts_) cols.push_back(cnt);
-  return g_test_on_columns(std::move(cols), min_expected);
+  return g_test_columns(cols, min_expected);
 }
 
 void ContingencyTable::serialize(std::ostream& os) const {
@@ -475,7 +490,7 @@ GTestResult FlatCountTable::g_test(double min_expected) const {
     for (std::uint64_t key : keys) cols.push_back(counts_for(key));
   }
   if (overflow_used_) cols.push_back(overflow_);
-  return g_test_on_columns(std::move(cols), min_expected);
+  return g_test_columns(cols, min_expected);
 }
 
 std::size_t FlatCountTable::bin_count() const {
@@ -645,7 +660,7 @@ GTestResult g_test_two_rows(const std::vector<std::uint64_t>& row_fixed,
     if (row_fixed[i] == 0 && row_random[i] == 0) continue;
     cols.push_back({row_fixed[i], row_random[i]});
   }
-  return g_test_on_columns(std::move(cols), min_expected);
+  return g_test_columns(cols, min_expected);
 }
 
 }  // namespace sca::stats

@@ -241,6 +241,13 @@ class FlatCountTable {
   bool overflow_used_ = false;
 };
 
+/// G-test over explicit {fixed, random} columns in the given order, each
+/// with a nonzero total. FlatCountTable::g_test is exactly this over its
+/// occupied keys in ascending order, so a caller that enumerates the same
+/// keys in the same order gets a bit-identical result without a table.
+GTestResult g_test_columns(const std::vector<std::array<std::uint64_t, 2>>& cols,
+                           double min_expected = 5.0);
+
 /// Convenience: G-test on an explicit pair of count vectors (same length,
 /// column i of both rows). Used by the exact verifier and unit tests.
 GTestResult g_test_two_rows(const std::vector<std::uint64_t>& row_fixed,

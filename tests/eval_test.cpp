@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "src/common/check.hpp"
 #include "src/core/campaign.hpp"
@@ -349,6 +351,90 @@ TEST(Campaign, BitSlicedMatchesScalarBinForBin) {
       }
     }
   }
+}
+
+// Every probe set's G-test result and the verdict bytes agree.
+void expect_same_g(const CampaignResult& got, const CampaignResult& want) {
+  EXPECT_EQ(got.early_stopped, want.early_stopped);
+  EXPECT_EQ(got.unevaluated_sets, want.unevaluated_sets);
+  EXPECT_EQ(verdict_json(got), verdict_json(want));
+  ASSERT_EQ(got.results.size(), want.results.size());
+  for (std::size_t i = 0; i < want.results.size(); ++i) {
+    const stats::GTestResult& a = got.results[i].g;
+    const stats::GTestResult& b = want.results[i].g;
+    EXPECT_EQ(got.results[i].name, want.results[i].name);
+    EXPECT_EQ(a.g, b.g) << want.results[i].name;
+    EXPECT_EQ(a.df, b.df);
+    EXPECT_EQ(a.bins, b.bins);
+    EXPECT_EQ(a.n_fixed, b.n_fixed);
+    EXPECT_EQ(a.n_random, b.n_random);
+  }
+}
+
+TEST(Campaign, OrderTwoSetMajorMatchesScalarBinForBin) {
+  // Order-2 G-test batches run set-major: each stage is simulated once into
+  // an observation store, and one worker counts and finalizes a whole pair
+  // set (exact keys from per-probe byte planes, compacted sets from stored
+  // code words, hosted sets as marginals of their root). The scalar oracle
+  // stays chunk-major, so this pins the set-major executor to the reference
+  // bin for bin — staged (masters folded between stages, interim
+  // statistics every stage), with and without early stopping, on 1 and 3
+  // threads, and killed mid-batch then resumed.
+  Netlist nl = kronecker_netlist(RandomnessPlan::kron2_naive13(), 3);
+  CampaignOptions opts = kron_options(ProbeModel::kGlitchTransition, 8192);
+  opts.order = 2;
+  opts.seed = 5;
+  opts.samples_per_run = 8;  // 16 chunks, so three stages split the budget
+  opts.stages = 3;
+  opts.probe_scope_filter = "kron.G5";  // exact, hosted and compacted pairs
+  for (unsigned early_stop : {0u, 1u}) {
+    // A low threshold lets early stopping fire after the first stage, so
+    // the batch finalizes from its folded master tables.
+    opts.early_stop_stages = early_stop;
+    opts.threshold = early_stop ? 2.0 : 7.0;
+    std::vector<double> scalar_stages, sliced_stages;
+    opts.on_stage = [&](const StageReport& r) {
+      scalar_stages.push_back(r.max_minus_log10_p);
+    };
+    opts.accumulation = Accumulation::kScalar;
+    opts.threads = 1;
+    const CampaignResult scalar = run_fixed_vs_random(nl, opts);
+    ASSERT_GT(scalar.total_sets, 100u);
+    EXPECT_EQ(scalar.early_stopped, early_stop == 1);
+    for (unsigned threads : {1u, 3u}) {
+      sliced_stages.clear();
+      opts.on_stage = [&](const StageReport& r) {
+        sliced_stages.push_back(r.max_minus_log10_p);
+      };
+      opts.accumulation = Accumulation::kBitSliced;
+      opts.threads = threads;
+      const CampaignResult sliced = run_fixed_vs_random(nl, opts);
+      EXPECT_EQ(sliced_stages, scalar_stages) << threads << " threads";
+      expect_same_g(sliced, scalar);
+    }
+  }
+
+  // Killed after the first stage and resumed: the snapshot carries the
+  // batch's folded master tables into the set-major final stage.
+  opts.early_stop_stages = 0;
+  opts.threshold = 7.0;
+  opts.on_stage = nullptr;
+  opts.accumulation = Accumulation::kScalar;
+  opts.threads = 1;
+  const CampaignResult scalar = run_fixed_vs_random(nl, opts);
+  opts.accumulation = Accumulation::kBitSliced;
+  opts.threads = 2;
+  opts.checkpoint_path =
+      testing::TempDir() + "sca_order2_set_major_resume.ckpt";
+  std::remove(opts.checkpoint_path.c_str());
+  CampaignOptions kill = opts;
+  kill.stop_after_stage = 1;
+  ASSERT_TRUE(run_fixed_vs_random(nl, kill).interrupted);
+  opts.resume = true;
+  const CampaignResult resumed = run_fixed_vs_random(nl, opts);
+  std::remove(opts.checkpoint_path.c_str());
+  EXPECT_TRUE(resumed.resumed);
+  expect_same_g(resumed, scalar);
 }
 
 TEST(Campaign, BitSlicedMatchesScalarTTest) {

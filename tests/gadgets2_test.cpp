@@ -3,6 +3,9 @@
 // Sbox with its conversions.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "src/aes/sbox.hpp"
 #include "src/common/check.hpp"
 #include "src/common/rng.hpp"
@@ -39,6 +42,17 @@ struct DomGfCase {
   GfKind kind;
   std::size_t shares;
 };
+
+std::string case_name(const DomGfCase& c) {
+  const std::string field = c.kind == GfKind::kGf4Tower    ? "gf4"
+                            : c.kind == GfKind::kGf16Tower ? "gf16"
+                                                           : "gf256";
+  return field + "_s" + std::to_string(c.shares);
+}
+
+// Names the case in test listings (ctest names) instead of gtest's raw
+// byte dump, which includes the struct's uninitialized padding.
+void PrintTo(const DomGfCase& c, std::ostream* os) { *os << case_name(c); }
 
 class DomGfMulTest : public ::testing::TestWithParam<DomGfCase> {};
 
@@ -91,13 +105,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DomGfCase{GfKind::kGf16Tower, 3},
                       DomGfCase{GfKind::kGf256Aes, 2},
                       DomGfCase{GfKind::kGf256Aes, 3}),
-    [](const auto& info) {
-      std::string name =
-          info.param.kind == GfKind::kGf4Tower
-              ? "gf4"
-              : info.param.kind == GfKind::kGf16Tower ? "gf16" : "gf256";
-      return name + "_s" + std::to_string(info.param.shares);
-    });
+    [](const auto& info) { return case_name(info.param); });
 
 TEST(DomGfMul, RejectsBadShapes) {
   Netlist nl;

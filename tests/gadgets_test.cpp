@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 
 #include "src/aes/sbox.hpp"
 #include "src/common/bitops.hpp"
@@ -591,6 +592,10 @@ struct SboxConfig {
   const char* name;
   bool kronecker;
 };
+
+// Names the config in test listings (ctest names) instead of gtest's raw
+// byte dump, which includes a pointer and the struct's padding.
+void PrintTo(const SboxConfig& c, std::ostream* os) { *os << c.name; }
 
 class MaskedSboxTest : public ::testing::TestWithParam<SboxConfig> {};
 

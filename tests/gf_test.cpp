@@ -193,7 +193,9 @@ TEST(TowerGf4, MulTableIsAField) {
 TEST(TowerGf4, SquareAndInverse) {
   for (std::uint8_t a = 0; a < 4; ++a) {
     EXPECT_EQ(gf4_sq(a), gf4_mul(a, a));
-    if (a != 0) EXPECT_EQ(gf4_mul(a, gf4_inv(a)), 1);
+    if (a != 0) {
+      EXPECT_EQ(gf4_mul(a, gf4_inv(a)), 1);
+    }
   }
   EXPECT_EQ(gf4_inv(0), 0);
 }
@@ -207,7 +209,9 @@ TEST(TowerGf16, FieldAxiomsExhaustive) {
     EXPECT_EQ(gf16_mul(a, 1), a);
     EXPECT_EQ(gf16_mul(a, 0), 0);
     EXPECT_EQ(gf16_sq(a), gf16_mul(a, a));
-    if (a != 0) EXPECT_EQ(gf16_mul(a, gf16_inv(a)), 1);
+    if (a != 0) {
+      EXPECT_EQ(gf16_mul(a, gf16_inv(a)), 1);
+    }
     for (std::uint8_t b = 0; b < 16; ++b)
       EXPECT_EQ(gf16_mul(a, b), gf16_mul(b, a));
   }

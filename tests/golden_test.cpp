@@ -23,10 +23,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "bench/bench_util.hpp"
+#include "src/common/serialize.hpp"
 #include "src/core/campaign.hpp"
+#include "src/core/report.hpp"
 #include "src/core/search.hpp"
 #include "src/gadgets/masked_sbox2.hpp"
 #include "src/lint/linter.hpp"
@@ -262,6 +266,142 @@ TEST(GoldenVerdicts, E10SecondOrderSboxWholeDesignLintClean) {
   const lint::LintReport report = lint::run_lint(nl);
   EXPECT_TRUE(report.clean()) << to_string(report);
   EXPECT_GT(report.probes_checked, 2000u);
+}
+
+// E9 order-2 verdict pins: the byte length and FNV-1a hash of the whole
+// verdict_json (every pair set's -log10 p, width and alias count) of a
+// glitch+transition order-2 campaign on each 3-share Kronecker design,
+// captured once and asserted under every execution shape the engine offers
+// for pair campaigns — one thread and one stage; three threads with a table
+// budget that splits the ~30k pair sets into hundreds of batches; and a
+// kill after the first stage followed by a resume (the 2,048 simulations
+// fill one chunk, so the kill lands between table batches). With 8 samples per run the budget spans 4 chunks, and
+// three stages run both unobserved and observed by a stage callback, which
+// makes each batch keep master tables between its stages (kill + resume
+// inside such a batch is Campaign.OrderTwoSetMajorMatchesScalarBinForBin's
+// job). One test per design and shape keeps each within the per-test
+// timeout under the sanitizers.
+struct VerdictPin {
+  std::size_t bytes = 0;
+  std::uint64_t fnv1a = 0;
+};
+
+struct Order2Design {
+  RandomnessPlan plan;
+  std::string tag;
+  VerdictPin one_chunk;    // 2,048 simulations, 32 samples per run
+  VerdictPin four_chunks;  // the same budget at 8 samples per run
+};
+
+Order2Design naive13() {
+  return {RandomnessPlan::kron2_naive13(), "naive13",
+          {3820708, 15516589502850238922ull},
+          {3820692, 6865667511037529653ull}};
+}
+
+Order2Design full_fresh() {
+  return {RandomnessPlan::kron2_full_fresh(), "full_fresh",
+          {4077931, 4103193724893877278ull},
+          {4078866, 12550348817362469235ull}};
+}
+
+void expect_pinned(const CampaignResult& result, const VerdictPin& want,
+                   const std::string& shape) {
+  const std::string json = verdict_json(result);
+  EXPECT_EQ(json.size(), want.bytes) << shape;
+  EXPECT_EQ(common::Fnv1a().feed_bytes(json.data(), json.size()).value(),
+            want.fnv1a)
+      << shape;
+}
+
+CampaignOptions order2_pin_options(unsigned threads, unsigned stages) {
+  CampaignOptions opts;
+  opts.model = ProbeModel::kGlitchTransition;
+  opts.order = 2;
+  opts.simulations = 2048;
+  opts.seed = 0x0E9;
+  opts.fixed_values[0] = 0x00;
+  opts.threads = threads;
+  opts.stages = stages;
+  return opts;
+}
+
+CampaignResult run_killed_and_resumed(const netlist::Netlist& nl,
+                                      CampaignOptions opts,
+                                      const std::string& tag) {
+  opts.checkpoint_path =
+      testing::TempDir() + "sca_e9_pin_" + tag + ".ckpt";
+  std::remove(opts.checkpoint_path.c_str());
+  CampaignOptions kill = opts;
+  kill.stop_after_stage = 1;
+  EXPECT_TRUE(run_fixed_vs_random(nl, kill).interrupted) << tag;
+  opts.resume = true;
+  CampaignResult resumed = run_fixed_vs_random(nl, opts);
+  EXPECT_TRUE(resumed.resumed) << tag;
+  EXPECT_FALSE(resumed.interrupted) << tag;
+  std::remove(opts.checkpoint_path.c_str());
+  return resumed;
+}
+
+void pin_one_thread(const Order2Design& d) {
+  expect_pinned(run_fixed_vs_random(benchutil::kronecker_netlist(d.plan, 3),
+                                    order2_pin_options(1, 1)),
+                d.one_chunk, d.tag + ": 1 thread, 1 stage");
+}
+
+void pin_batched(const Order2Design& d) {
+  CampaignOptions opts = order2_pin_options(3, 3);
+  opts.table_memory_budget = std::size_t{64} << 20;
+  const CampaignResult result =
+      run_fixed_vs_random(benchutil::kronecker_netlist(d.plan, 3), opts);
+  EXPECT_GT(result.table_batches, 100u) << d.tag;  // ~560 at this budget
+  expect_pinned(result, d.one_chunk, d.tag + ": 3 threads, 3 stages, 64 MiB");
+}
+
+void pin_killed(const Order2Design& d) {
+  expect_pinned(
+      run_killed_and_resumed(benchutil::kronecker_netlist(d.plan, 3),
+                             order2_pin_options(2, 3), d.tag + "_one_chunk"),
+      d.one_chunk, d.tag + ": 2 threads, 3 stages, kill + resume");
+}
+
+void pin_four_chunks(const Order2Design& d) {
+  const netlist::Netlist nl = benchutil::kronecker_netlist(d.plan, 3);
+  CampaignOptions opts = order2_pin_options(1, 3);
+  opts.samples_per_run = 8;
+  expect_pinned(run_fixed_vs_random(nl, opts), d.four_chunks,
+                d.tag + ": 4 chunks, 1 thread, 3 stages");
+  // Observed stages keep master tables: folded after every stage, hosted
+  // masters rebuilt for the interim statistics, finalized from the master.
+  // A 1 GiB budget keeps ~0.3 GB of them resident at a time.
+  std::size_t reports = 0;
+  opts.threads = 2;
+  opts.table_memory_budget = std::size_t{1} << 30;
+  opts.on_stage = [&](const StageReport&) { ++reports; };
+  expect_pinned(run_fixed_vs_random(nl, opts), d.four_chunks,
+                d.tag + ": 4 chunks, 2 threads, 3 observed stages");
+  EXPECT_GE(reports, 3u) << d.tag;
+}
+
+TEST(GoldenVerdicts, E9OrderTwoPinNaive13OneThread) { pin_one_thread(naive13()); }
+TEST(GoldenVerdicts, E9OrderTwoPinNaive13Batched) { pin_batched(naive13()); }
+TEST(GoldenVerdicts, E9OrderTwoPinNaive13KilledAndResumed) {
+  pin_killed(naive13());
+}
+TEST(GoldenVerdicts, E9OrderTwoPinNaive13FourChunks) {
+  pin_four_chunks(naive13());
+}
+TEST(GoldenVerdicts, E9OrderTwoPinFullFreshOneThread) {
+  pin_one_thread(full_fresh());
+}
+TEST(GoldenVerdicts, E9OrderTwoPinFullFreshBatched) {
+  pin_batched(full_fresh());
+}
+TEST(GoldenVerdicts, E9OrderTwoPinFullFreshKilledAndResumed) {
+  pin_killed(full_fresh());
+}
+TEST(GoldenVerdicts, E9OrderTwoPinFullFreshFourChunks) {
+  pin_four_chunks(full_fresh());
 }
 
 // Null calibration: with the fixed group drawing random secrets too, the
